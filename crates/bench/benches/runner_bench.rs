@@ -6,8 +6,8 @@
 //! numbers are recorded in EXPERIMENTS.md, and the fast-forward sweep is
 //! written to `BENCH_sim_throughput.json` in the workspace root (the
 //! checked-in copy at the repo root is regenerated this way; CI's
-//! perf-smoke job gates on the Figure 5(b) and long-CSB-point speedups in
-//! it).
+//! perf-smoke job gates on the Figure 5(b) and long-CSB-point tick ratios,
+//! `sim_cycles / ff_ticks`, and on the scheduler point's speedup in it).
 //!
 //! `-- --samples N` overrides the wall-clock samples taken per sweep leg
 //! and `-- --reps N` the executions batched inside each timed sample;

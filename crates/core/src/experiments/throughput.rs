@@ -32,6 +32,10 @@ pub struct ThroughputPoint {
     /// CPU cycles one execution of the point simulates (identical on
     /// both legs).
     pub sim_cycles: u64,
+    /// Real ticks one execution takes with fast-forward on (the horizon
+    /// heap leg on the scheduler point). Deterministic, unlike the wall
+    /// times: `sim_cycles / ff_ticks` is the tick ratio CI gates on.
+    pub ff_ticks: u64,
     /// Best-of-samples wall seconds per execution, naive loop.
     pub naive_wall_s: f64,
     /// Simulated cycles per wall second, naive loop.
@@ -65,13 +69,14 @@ impl ThroughputReport {
     /// Plain-text rendering for the bench's stderr output.
     pub fn render(&self) -> String {
         let mut out = String::from(
-            "point                    sim cycles   naive Mc/s      ff Mc/s   speedup\n",
+            "point                    sim cycles   ff ticks   naive Mc/s      ff Mc/s   speedup\n",
         );
         for p in &self.points {
             out.push_str(&format!(
-                "{:<24} {:>10} {:>12.2} {:>12.2} {:>8.2}x\n",
+                "{:<24} {:>10} {:>10} {:>12.2} {:>12.2} {:>8.2}x\n",
                 p.label,
                 p.sim_cycles,
+                p.ff_ticks,
                 p.naive_cycles_per_sec / 1e6,
                 p.ff_cycles_per_sec / 1e6,
                 p.speedup
@@ -219,15 +224,44 @@ fn point_value(work: &PointWork, summary: &RunSummary) -> Result<PointValue, Exp
     }
 }
 
+/// One timed sample of one leg of a point.
+struct Sample<V> {
+    /// Wall seconds per execution.
+    wall_s: f64,
+    /// Simulated cycles per wall second.
+    cycles_per_sec: f64,
+    /// What the execution measured (a figure value or a summary digest).
+    value: V,
+    /// Simulated cycles per execution.
+    cycles: u64,
+    /// Real ticks per execution.
+    ticks: u64,
+}
+
+/// Keeps the fastest of `samples` timed samples (after one warmup).
+fn best_of<V>(
+    samples: usize,
+    mut take: impl FnMut() -> Result<Sample<V>, ExpError>,
+) -> Result<Sample<V>, ExpError> {
+    take()?; // warmup: page in code + allocator state
+    let mut best = take()?;
+    for _ in 1..samples.max(1) {
+        let s = take()?;
+        if s.wall_s < best.wall_s {
+            best = s;
+        }
+    }
+    Ok(best)
+}
+
 /// One timed sample: `reps` executions back to back through one reused
 /// simulator — each a warm reset plus a full run, the sweep engine's
-/// steady-state per-point cost. Returns (wall seconds per execution,
-/// cycles per second, the measured value, cycles per execution).
+/// steady-state per-point cost.
 fn sample(
     spec: &PointSpec,
     fast_forward: bool,
     reps: usize,
-) -> Result<(f64, f64, PointValue, u64), ExpError> {
+) -> Result<Sample<PointValue>, ExpError> {
     let reps = reps.max(1);
     let mut slot = None;
     // Cold construction (and cache/allocator faulting) stays untimed, as
@@ -240,12 +274,17 @@ fn sample(
         let sim = prepare_into(&mut slot, spec, fast_forward)?;
         let summary = sim.run(POINT_LIMIT)?;
         total += summary.cycles;
-        last = Some(summary);
+        last = Some((summary, sim.ticks()));
     }
     let wall = t0.elapsed().as_secs_f64();
-    let last = last.expect("at least one rep ran");
-    let value = point_value(&spec.work, &last)?;
-    Ok((wall / reps as f64, total as f64 / wall, value, last.cycles))
+    let (last, ticks) = last.expect("at least one rep ran");
+    Ok(Sample {
+        wall_s: wall / reps as f64,
+        cycles_per_sec: total as f64 / wall,
+        value: point_value(&spec.work, &last)?,
+        cycles: last.cycles,
+        ticks,
+    })
 }
 
 /// Measures one point both ways: naive loop first, then fast-forward.
@@ -265,36 +304,27 @@ pub fn measure_point(
     samples: usize,
     reps: usize,
 ) -> Result<ThroughputPoint, ExpError> {
-    let mut best: [Option<(f64, f64, PointValue, u64)>; 2] = [None, None];
-    for (leg, slot) in [false, true].into_iter().zip(best.iter_mut()) {
-        sample(spec, leg, reps)?; // warmup: page in code + allocator state
-        for _ in 0..samples.max(1) {
-            let s = sample(spec, leg, reps)?;
-            if slot.as_ref().is_none_or(|b| s.0 < b.0) {
-                *slot = Some(s);
-            }
-        }
-    }
-    let (naive_wall_s, naive_cps, naive_value, naive_cycles) = best[0].expect("naive leg sampled");
-    let (ff_wall_s, ff_cps, ff_value, ff_cycles) = best[1].expect("ff leg sampled");
+    let naive = best_of(samples, || sample(spec, false, reps))?;
+    let ff = best_of(samples, || sample(spec, true, reps))?;
     assert_eq!(
-        naive_value, ff_value,
+        naive.value, ff.value,
         "{}: fast-forward changed the measured value",
         spec.label
     );
     assert_eq!(
-        naive_cycles, ff_cycles,
+        naive.cycles, ff.cycles,
         "{}: fast-forward changed the cycle count",
         spec.label
     );
     Ok(ThroughputPoint {
         label: spec.label.clone(),
-        sim_cycles: ff_cycles,
-        naive_wall_s,
-        naive_cycles_per_sec: naive_cps,
-        ff_wall_s,
-        ff_cycles_per_sec: ff_cps,
-        speedup: ff_cps / naive_cps,
+        sim_cycles: ff.cycles,
+        ff_ticks: ff.ticks,
+        naive_wall_s: naive.wall_s,
+        naive_cycles_per_sec: naive.cycles_per_sec,
+        ff_wall_s: ff.wall_s,
+        ff_cycles_per_sec: ff.cycles_per_sec,
+        speedup: ff.cycles_per_sec / naive.cycles_per_sec,
     })
 }
 
@@ -345,30 +375,33 @@ fn sched_multisim(
 
 /// One timed sample of the scheduler point: `reps` cold-constructed runs
 /// (MultiSim has no warm-reset path; construction is identical on both
-/// legs, so it only dilutes the measured gap). Returns (wall seconds per
-/// execution, cycles per second, result digest, cycles per execution).
+/// legs, so it only dilutes the measured gap). The sample's value is the
+/// summary's debug rendering.
 fn sched_sample(
     programs: &[csb_isa::Program],
     mode: SchedulerMode,
     reps: usize,
-) -> Result<(f64, f64, String, u64), ExpError> {
+) -> Result<Sample<String>, ExpError> {
     let reps = reps.max(1);
     let mut cycles = 0u64;
+    let mut ticks = 0u64;
     let mut digest = String::new();
     let t0 = Instant::now();
     for _ in 0..reps {
         let mut ms = sched_multisim(programs, mode)?;
         let summary = ms.run(POINT_LIMIT)?;
         cycles = summary.cycles;
+        ticks = ms.simulator().ticks();
         digest = format!("{summary:?}");
     }
     let wall = t0.elapsed().as_secs_f64();
-    Ok((
-        wall / reps as f64,
-        (cycles * reps as u64) as f64 / wall,
-        digest,
+    Ok(Sample {
+        wall_s: wall / reps as f64,
+        cycles_per_sec: (cycles * reps as u64) as f64 / wall,
+        value: digest,
         cycles,
-    ))
+        ticks,
+    })
 }
 
 /// Measures the many-core scheduler point both ways: legacy round-robin
@@ -389,32 +422,26 @@ fn sched_sample(
 /// a scheduling-equivalence bug, not a throughput result.
 pub fn sched_point(samples: usize, reps: usize) -> Result<ThroughputPoint, ExpError> {
     let programs = sched_programs()?;
-    let mut best: [Option<(f64, f64, String, u64)>; 2] = [None, None];
-    let legs = [SchedulerMode::RoundRobin, SchedulerMode::HorizonHeap];
-    for (mode, slot) in legs.into_iter().zip(best.iter_mut()) {
-        sched_sample(&programs, mode, reps)?; // warmup: page in code + allocator state
-        for _ in 0..samples.max(1) {
-            let s = sched_sample(&programs, mode, reps)?;
-            if slot.as_ref().is_none_or(|b| s.0 < b.0) {
-                *slot = Some(s);
-            }
-        }
-    }
-    let (rr_wall_s, rr_cps, rr_digest, rr_cycles) = best[0].take().expect("round-robin sampled");
-    let (heap_wall_s, heap_cps, heap_digest, heap_cycles) = best[1].take().expect("heap sampled");
+    let rr = best_of(samples, || {
+        sched_sample(&programs, SchedulerMode::RoundRobin, reps)
+    })?;
+    let heap = best_of(samples, || {
+        sched_sample(&programs, SchedulerMode::HorizonHeap, reps)
+    })?;
     assert_eq!(
-        rr_digest, heap_digest,
+        rr.value, heap.value,
         "{SCHED_POINT_LABEL}: the scheduler traversal changed the simulation"
     );
-    assert_eq!(rr_cycles, heap_cycles);
+    assert_eq!(rr.cycles, heap.cycles);
     Ok(ThroughputPoint {
         label: SCHED_POINT_LABEL.to_string(),
-        sim_cycles: heap_cycles,
-        naive_wall_s: rr_wall_s,
-        naive_cycles_per_sec: rr_cps,
-        ff_wall_s: heap_wall_s,
-        ff_cycles_per_sec: heap_cps,
-        speedup: heap_cps / rr_cps,
+        sim_cycles: heap.cycles,
+        ff_ticks: heap.ticks,
+        naive_wall_s: rr.wall_s,
+        naive_cycles_per_sec: rr.cycles_per_sec,
+        ff_wall_s: heap.wall_s,
+        ff_cycles_per_sec: heap.cycles_per_sec,
+        speedup: heap.cycles_per_sec / rr.cycles_per_sec,
     })
 }
 
@@ -464,6 +491,7 @@ mod tests {
         let p = measure_point(spec, 1, 4).expect("point simulates");
         assert_eq!(p.label, "5b/8dw/64B");
         assert!(p.sim_cycles > 0);
+        assert!(p.ff_ticks > 0 && p.ff_ticks < p.sim_cycles);
         assert!(p.naive_cycles_per_sec > 0.0 && p.ff_cycles_per_sec > 0.0);
     }
 

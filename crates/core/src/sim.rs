@@ -1456,11 +1456,14 @@ impl Simulator {
         if now >= cap {
             return false;
         }
-        // The horizon scan runs after every tick — [`Cpu::next_event`]
-        // resolves the common busy-pipeline verdicts from the ROB head in
-        // O(1), so even sub-2-transaction bus-idle gaps engage the walk on
-        // their first stalled cycle instead of ticking through for real
-        // (the old quiet-tick gate burned one real tick per stall entry).
+        // The horizon check runs after every tick that neither dispatched
+        // nor issued: such a tick leaves work for the next one, so a walk
+        // cannot pay there, and skipping the check is exact. Every other
+        // tick checks, so even sub-2-transaction bus-idle gaps engage the
+        // walk on their first stalled cycle.
+        if self.cpu.last_tick_issued() {
+            return false;
+        }
         let CpuHorizon::Idle { wake, stall } = self.cpu.next_event(&self.machine) else {
             return false;
         };

@@ -14,6 +14,15 @@
 //! and is never replayed — a failed flow-control offer stalls retirement and
 //! is retried the next cycle, which is exactly the back-pressure that lets
 //! the uncached buffer combine stores while the bus is busy.
+//!
+//! Wakeup and select are event-driven. Each ROB entry counts its operands
+//! still waiting on an in-ROB producer and lists its consumers; a producer
+//! that completes releases them. Issue, writeback and the idle-horizon
+//! check walk two small sets in sequence order — *ready* (no pending
+//! operand, or a cached memory op with a known address) and *in flight*
+//! — instead of the whole ROB. Both sets, the counts and the lists are
+//! derived state: [`Cpu::restore_state`] rebuilds them from the ROB, and
+//! debug builds check them against that derivation after every tick.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -172,6 +181,109 @@ enum St {
     Done,
 }
 
+/// Consumers a producer records inline before falling back to a scan.
+const INLINE_DEPENDENTS: usize = 4;
+
+/// A producer's consumers, one sequence number per waiting operand (a
+/// consumer reading the producer twice appears twice), in dispatch order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Dependents {
+    seqs: [u64; INLINE_DEPENDENTS],
+    len: u8,
+    /// More consumers than `seqs` holds: wakeup scans the younger entries
+    /// for operands naming this producer instead of reading the list.
+    overflow: bool,
+}
+
+impl Dependents {
+    const EMPTY: Dependents = Dependents {
+        seqs: [0; INLINE_DEPENDENTS],
+        len: 0,
+        overflow: false,
+    };
+
+    #[inline]
+    fn push(&mut self, seq: u64) {
+        if (self.len as usize) < INLINE_DEPENDENTS {
+            self.seqs[self.len as usize] = seq;
+            self.len += 1;
+        } else {
+            self.overflow = true;
+        }
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[u64] {
+        &self.seqs[..self.len as usize]
+    }
+
+    /// Drops consumers younger than `seq` (squashed; their sequence
+    /// numbers are about to be reused).
+    fn truncate_after(&mut self, seq: u64) {
+        while self.len > 0 && self.seqs[self.len as usize - 1] > seq {
+            self.len -= 1;
+        }
+    }
+}
+
+/// Sequence numbers in ascending (oldest-first) order: the scheduler's
+/// ready and in-flight sets. Both hold a handful of entries in practice,
+/// so a sorted vector beats a tree; its capacity is reserved to the ROB
+/// size up front, so the steady state never allocates.
+#[derive(Debug)]
+struct SeqSet(Vec<u64>);
+
+impl SeqSet {
+    fn with_capacity(cap: usize) -> Self {
+        SeqSet(Vec::with_capacity(cap))
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> Option<u64> {
+        self.0.get(i).copied()
+    }
+
+    #[cfg(debug_assertions)]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    #[inline]
+    fn insert(&mut self, seq: u64) {
+        let pos = self.0.partition_point(|&s| s < seq);
+        debug_assert_ne!(self.0.get(pos), Some(&seq), "seq {seq} inserted twice");
+        self.0.insert(pos, seq);
+    }
+
+    #[inline]
+    fn remove_at(&mut self, i: usize) {
+        self.0.remove(i);
+    }
+
+    /// Drops every member younger than `seq` (squash).
+    fn truncate_after(&mut self, seq: u64) {
+        let keep = self.0.partition_point(|&s| s <= seq);
+        self.0.truncate(keep);
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+
+    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.iter().copied()
+    }
+}
+
+/// One entry's scheduler state as derived from the ROB alone (see
+/// [`Cpu::derive_sched`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SchedView {
+    pending: u8,
+    ready: bool,
+    in_flight: bool,
+}
+
 #[derive(Debug, Clone, Copy)]
 struct RobEntry {
     seq: u64,
@@ -179,6 +291,10 @@ struct RobEntry {
     inst: Inst,
     st: St,
     ops: Ops,
+    /// Operands waiting on an in-ROB producer that is not yet `Done`.
+    pending: u8,
+    /// Consumers to release when this entry completes.
+    deps: Dependents,
     /// Result value: ALU result, condition flags, load value, swap result,
     /// or (for branches) the resolved next pc.
     value: u64,
@@ -203,6 +319,8 @@ impl RobEntry {
         inst: Inst::Nop,
         st: St::Done,
         ops: Ops::EMPTY,
+        pending: 0,
+        deps: Dependents::EMPTY,
         value: 0,
         addr: None,
         space: None,
@@ -220,6 +338,15 @@ impl RobEntry {
             Src::Ready(v) => v,
             Src::Wait(_) => panic!("operand {i} of {} not ready", self.inst),
         }
+    }
+
+    /// A cached load or store whose address is known: issue advances it
+    /// without waiting for the head, so it belongs in the ready set.
+    #[inline]
+    fn cached_mem_ready(&self) -> bool {
+        self.st == St::AddrReady
+            && self.space == Some(AddressSpace::Cached)
+            && matches!(self.inst.kind(), InstKind::Load | InstKind::Store)
     }
 }
 
@@ -498,6 +625,12 @@ pub struct Cpu {
     fetch_stopped: bool,
     fetch_q: VecDeque<Fetched>,
     rob: Rob,
+    /// `Waiting` entries with no pending operand, plus cached loads and
+    /// stores in `AddrReady`: everything issue may advance.
+    ready: SeqSet,
+    /// `Agen`, `Exec`, `MemAccess` and `UncachedWait` entries: everything
+    /// writeback may complete.
+    in_flight: SeqSet,
     front_seq: u64,
     next_seq: u64,
     rename: RenameTable,
@@ -514,9 +647,9 @@ pub struct Cpu {
     uncached_stall_start: Option<u64>,
     /// First cycle of the membar-stall run currently in progress.
     membar_stall_start: Option<u64>,
-    /// `true` if the most recent tick moved any instruction through the
-    /// pipeline (see [`Cpu::last_tick_worked`]).
-    worked: bool,
+    /// `true` if the most recent tick dispatched or issued an instruction
+    /// (see [`Cpu::last_tick_issued`]).
+    issued: bool,
 }
 
 impl Cpu {
@@ -538,6 +671,8 @@ impl Cpu {
             fetch_stopped: false,
             fetch_q,
             rob,
+            ready: SeqSet::with_capacity(cfg.rob_size),
+            in_flight: SeqSet::with_capacity(cfg.rob_size),
             front_seq: 0,
             next_seq: 0,
             rename: RenameTable::new(),
@@ -549,7 +684,7 @@ impl Cpu {
             metrics: MetricsRegistry::disabled(),
             uncached_stall_start: None,
             membar_stall_start: None,
-            worked: false,
+            issued: false,
         }
     }
 
@@ -560,9 +695,13 @@ impl Cpu {
     pub fn reset_with(&mut self, cfg: CpuConfig, program: Program, ctx: CpuContext) {
         if cfg.rob_size != self.cfg.rob_size {
             self.rob = Rob::with_capacity(cfg.rob_size);
+            self.ready = SeqSet::with_capacity(cfg.rob_size);
+            self.in_flight = SeqSet::with_capacity(cfg.rob_size);
         } else {
             self.rob.clear();
             self.rob.head = 0;
+            self.ready.clear();
+            self.in_flight.clear();
         }
         self.fetch_q.clear();
         self.fetch_q.reserve(cfg.fetch_queue.max(1));
@@ -582,12 +721,14 @@ impl Cpu {
         self.metrics = MetricsRegistry::disabled();
         self.uncached_stall_start = None;
         self.membar_stall_start = None;
-        self.worked = false;
+        self.issued = false;
     }
 
     /// Serializes the core's complete microarchitectural state: committed
     /// context, fetch queue, ROB (with in-flight operand and timing
-    /// state), rename table, counters, and stall-run bookkeeping.
+    /// state), rename table, counters, and stall-run bookkeeping. The
+    /// scheduler's sets, pending counts and consumer lists are not
+    /// stored: they are derived from the ROB on restore.
     /// Instructions are not stored — each entry's `pc` re-derives its
     /// `Inst` from the program the restoring side supplies. The trace
     /// sink and metrics registry are wiring the restoring side re-installs.
@@ -669,7 +810,7 @@ impl Cpu {
         w.put_bool(self.trace.is_some());
         w.put_opt_u64(self.uncached_stall_start);
         w.put_opt_u64(self.membar_stall_start);
-        w.put_bool(self.worked);
+        w.put_bool(self.issued);
     }
 
     /// Restores state written by [`Cpu::save_state`] into a core already
@@ -760,6 +901,8 @@ impl Cpu {
                 inst,
                 st,
                 ops,
+                pending: 0,
+                deps: Dependents::EMPTY,
                 value,
                 addr,
                 space,
@@ -808,8 +951,145 @@ impl Cpu {
         };
         self.uncached_stall_start = r.take_opt_u64()?;
         self.membar_stall_start = r.take_opt_u64()?;
-        self.worked = r.take_bool()?;
+        self.issued = r.take_bool()?;
+        self.check_restored_rob()?;
+        self.rebuild_sched();
         Ok(())
+    }
+
+    /// Rejects a restored ROB whose sequence numbers or operand references
+    /// the scheduler could not follow: entries must be numbered
+    /// consecutively from `front_seq`, rename entries and waiting operands
+    /// must name an older instruction, and only a `Waiting` entry may still
+    /// reference a producer (issue resolves every operand).
+    fn check_restored_rob(&self) -> Result<(), csb_snap::SnapshotError> {
+        let corrupt = |what: String| Err(csb_snap::SnapshotError::Corrupt(what));
+        if self.next_seq != self.front_seq + self.rob.len() as u64 {
+            return corrupt(format!(
+                "next seq {} does not follow {} ROB entries from seq {}",
+                self.next_seq,
+                self.rob.len(),
+                self.front_seq
+            ));
+        }
+        for (i, e) in self.rob.iter().enumerate() {
+            if e.seq != self.front_seq + i as u64 {
+                return corrupt(format!("ROB entry {i} has seq {}", e.seq));
+            }
+            for op in e.ops.iter() {
+                if let Src::Wait(p) = op.src {
+                    if p >= e.seq || e.st != St::Waiting {
+                        return corrupt(format!("seq {} cannot wait on seq {p}", e.seq));
+                    }
+                }
+            }
+        }
+        if let Some(s) = self
+            .rename
+            .slots
+            .iter()
+            .flatten()
+            .find(|&&s| s < self.front_seq || s >= self.next_seq)
+        {
+            return corrupt(format!("rename entry names seq {s} outside the ROB"));
+        }
+        Ok(())
+    }
+
+    /// Derives `rob[idx]`'s scheduler state from the ROB alone: operands
+    /// waiting on an in-ROB producer that is not `Done` are pending, and
+    /// set membership follows from the entry's state. The single
+    /// definition [`Cpu::rebuild_sched`] installs and the debug-build
+    /// check compares against.
+    fn derive_sched(&self, idx: usize) -> SchedView {
+        let e = &self.rob[idx];
+        let pending = e
+            .ops
+            .iter()
+            .filter(|op| matches!(op.src, Src::Wait(p) if self.producer_pending(p)))
+            .count() as u8;
+        SchedView {
+            pending,
+            ready: (e.st == St::Waiting && pending == 0) || e.cached_mem_ready(),
+            in_flight: matches!(
+                e.st,
+                St::Agen { .. } | St::Exec { .. } | St::MemAccess { .. } | St::UncachedWait
+            ),
+        }
+    }
+
+    /// `true` if seq `p` is still in the ROB and has not completed.
+    #[inline]
+    fn producer_pending(&self, p: u64) -> bool {
+        p >= self.front_seq && self.rob[(p - self.front_seq) as usize].st != St::Done
+    }
+
+    /// Recomputes the ready and in-flight sets, the pending counts and the
+    /// consumer lists from the ROB (snapshot restore).
+    fn rebuild_sched(&mut self) {
+        self.ready.clear();
+        self.in_flight.clear();
+        for idx in 0..self.rob.len() {
+            self.rob[idx].deps = Dependents::EMPTY;
+        }
+        for idx in 0..self.rob.len() {
+            let view = self.derive_sched(idx);
+            let e = &mut self.rob[idx];
+            e.pending = view.pending;
+            let (seq, ops) = (e.seq, e.ops);
+            if view.ready {
+                self.ready.insert(seq);
+            }
+            if view.in_flight {
+                self.in_flight.insert(seq);
+            }
+            for op in ops.iter() {
+                if let Src::Wait(p) = op.src {
+                    if self.producer_pending(p) {
+                        self.rob[(p - self.front_seq) as usize].deps.push(seq);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Debug-build invariant: the incrementally maintained scheduler state
+    /// equals [`Cpu::derive_sched`] on every entry, and every pending
+    /// operand is recorded in its producer's consumer list (or the list
+    /// has overflowed to scanning).
+    #[cfg(debug_assertions)]
+    fn check_sched(&self) {
+        let (mut r, mut f) = (0, 0);
+        for idx in 0..self.rob.len() {
+            let e = &self.rob[idx];
+            let view = self.derive_sched(idx);
+            let actual = SchedView {
+                pending: e.pending,
+                ready: self.ready.get(r) == Some(e.seq),
+                in_flight: self.in_flight.get(f) == Some(e.seq),
+            };
+            assert_eq!(
+                actual, view,
+                "scheduler state of {} (seq {})",
+                e.inst, e.seq
+            );
+            r += usize::from(view.ready);
+            f += usize::from(view.in_flight);
+            for op in e.ops.iter() {
+                if let Src::Wait(p) = op.src {
+                    if self.producer_pending(p) {
+                        let deps = &self.rob[(p - self.front_seq) as usize].deps;
+                        assert!(
+                            deps.overflow || deps.as_slice().contains(&e.seq),
+                            "seq {} missing from the consumers of seq {p}",
+                            e.seq
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(r, self.ready.len(), "ready set holds stale seqs");
+        assert_eq!(f, self.in_flight.len(), "in-flight set holds stale seqs");
     }
 
     /// Re-derives the `Inst` at `pc` for snapshot restore.
@@ -931,6 +1211,8 @@ impl Cpu {
             );
         }
         self.rob.clear();
+        self.ready.clear();
+        self.in_flight.clear();
         self.front_seq = self.next_seq;
         self.rename.clear();
         self.fetch_q.clear();
@@ -970,7 +1252,7 @@ impl Cpu {
         if watching {
             self.obs.set_now(self.now);
         }
-        self.worked = false;
+        self.issued = false;
         if !self.halted {
             self.writeback(port);
             self.retire(port);
@@ -983,19 +1265,19 @@ impl Cpu {
         }
         self.now += 1;
         self.stats.cycles = self.now;
+        #[cfg(debug_assertions)]
+        self.check_sched();
     }
 
-    /// `true` if the most recent [`Cpu::tick`] moved any instruction
-    /// through the pipeline — fetched, dispatched, issued, completed,
-    /// redirected, or retired something, or started a memory action. A
-    /// quiet tick means the core only spun on a stall (or is drained),
-    /// which is the precondition for the much costlier [`Cpu::next_event`]
-    /// ROB scan to have any chance of reporting an idle horizon; drivers
-    /// use this to skip the scan while the pipeline is demonstrably busy.
-    /// Conservative in the safe direction: stall-counter increments alone
-    /// do not count as work.
-    pub fn last_tick_worked(&self) -> bool {
-        self.worked
+    /// `true` if the most recent [`Cpu::tick`] dispatched an instruction
+    /// or issued one to a functional unit. The next tick then almost
+    /// always has work — a dispatched instruction is ready or waits on an
+    /// older one, and an issued one completes one unit latency later — so
+    /// [`Cpu::next_event`] cannot find a gap worth a fast-forward walk, and
+    /// drivers skip the check. Skipping is always exact; it only forgoes
+    /// a jump.
+    pub fn last_tick_issued(&self) -> bool {
+        self.issued
     }
 
     /// Opens/extends/closes stall-run bookkeeping by comparing the stall
@@ -1027,20 +1309,6 @@ impl Cpu {
             );
             self.metrics.observe("membar_stall_run", cycles);
         }
-    }
-
-    /// Pure mirror of [`Cpu::ops_ready`]: `true` when every operand of
-    /// `rob[idx]` is ready or resolvable without waiting. Deferring the
-    /// lazy `Src::Ready` rewrite is invisible: retired producers' values
-    /// are architectural (frozen while retirement is idle) and `Done`
-    /// producers' values no longer change.
-    fn ops_would_be_ready(&self, idx: usize) -> bool {
-        self.rob[idx].ops.iter().all(|op| match op.src {
-            Src::Ready(_) => true,
-            Src::Wait(seq) => {
-                seq < self.front_seq || self.rob[(seq - self.front_seq) as usize].st == St::Done
-            }
-        })
     }
 
     /// Computes the core's activity horizon without mutating anything: if
@@ -1130,17 +1398,12 @@ impl Cpu {
                     // is the only cross-cycle blocker. (A zero-unit config
                     // never leaves Waiting; claiming Active then matches
                     // the naive loop's livelock.)
-                    if self.ops_would_be_ready(0) {
+                    if head.pending == 0 {
                         return CpuHorizon::Active;
                     }
                     None
                 }
                 St::AddrReady => {
-                    if !self.ops_would_be_ready(0) {
-                        // Producers of head operands are always retired in
-                        // practice; be conservative if not.
-                        return CpuHorizon::Active;
-                    }
                     let addr = head.addr.expect("AddrReady implies address");
                     let space = head.space.expect("AddrReady implies space");
                     match (&head.inst, space) {
@@ -1182,7 +1445,10 @@ impl Cpu {
                 }
             },
         };
-        for (idx, e) in self.rob.iter().enumerate().skip(1) {
+        // The head's own set membership repeats a verdict reached above,
+        // so walking the sets whole gives the same answer as skipping it.
+        for seq in self.in_flight.iter() {
+            let e = &self.rob[(seq - self.front_seq) as usize];
             match e.st {
                 St::Agen { done_at } | St::Exec { done_at } | St::MemAccess { done_at } => {
                     if done_at <= self.now {
@@ -1190,7 +1456,7 @@ impl Cpu {
                     }
                     wake = Some(wake.map_or(done_at, |w| w.min(done_at)));
                 }
-                St::UncachedWait => {
+                _ => {
                     let ready = if matches!(e.inst, Inst::Swap { .. }) {
                         port.uncached_swap_ready(e.seq)
                     } else {
@@ -1200,27 +1466,18 @@ impl Cpu {
                         return CpuHorizon::Active;
                     }
                 }
-                St::Waiting => {
-                    if self.ops_would_be_ready(idx) {
-                        return CpuHorizon::Active;
-                    }
-                }
-                St::AddrReady => match (e.inst.kind(), e.space) {
-                    // A blocked load (older store in the way) stays
-                    // blocked until the head retires, which the head
-                    // checks cover.
-                    (InstKind::Load, Some(AddressSpace::Cached)) if self.load_may_proceed(idx) => {
-                        return CpuHorizon::Active;
-                    }
-                    (InstKind::Store, Some(AddressSpace::Cached)) => {
-                        return CpuHorizon::Active;
-                    }
-                    // Uncached ops and atomics wait for the head.
-                    _ => {}
-                },
-                // Done entries are inert until the in-order head reaches
-                // them.
-                St::Done => {}
+            }
+        }
+        for seq in self.ready.iter() {
+            let idx = (seq - self.front_seq) as usize;
+            // A ready entry issues next tick, except a cached load an older
+            // store blocks — which stays blocked until the head retires,
+            // and the head checks cover that.
+            if self.rob[idx].st == St::Waiting
+                || self.rob[idx].inst.kind() == InstKind::Store
+                || self.load_may_proceed(idx)
+            {
+                return CpuHorizon::Active;
             }
         }
         CpuHorizon::Idle { wake, stall }
@@ -1293,37 +1550,59 @@ impl Cpu {
         }
     }
 
-    /// Resolves pending operand references; returns `true` when all ready.
-    /// The update scratch is a stack array — an instruction has at most
-    /// three operands — so the per-tick wakeup scan never allocates.
+    /// Rewrites every operand of `rob[idx]` to its value. The entry has
+    /// no pending operand, so each producer it names has either retired
+    /// (its value is architectural) or is `Done`.
     #[inline]
-    fn ops_ready(&mut self, idx: usize) -> bool {
+    fn resolve_ops(&mut self, idx: usize) {
         let front = self.front_seq;
-        let mut updates = [(0usize, 0u64); 3];
-        let mut n = 0;
-        let mut all = true;
-        for (i, op) in self.rob[idx].ops.iter().enumerate() {
+        for i in 0..self.rob[idx].ops.len as usize {
+            let op = self.rob[idx].ops.slots[i];
             if let Src::Wait(seq) = op.src {
-                if seq < front {
-                    // Producer already retired; its value is architectural.
-                    updates[n] = (i, self.arch_value(op.reg));
-                    n += 1;
+                let v = if seq < front {
+                    self.arch_value(op.reg)
                 } else {
-                    let p = &self.rob[(seq - front) as usize];
-                    if p.st == St::Done {
-                        updates[n] = (i, p.value);
-                        n += 1;
-                    } else {
-                        all = false;
-                    }
-                }
+                    self.rob[(seq - front) as usize].value
+                };
+                self.rob[idx].ops.slots[i].src = Src::Ready(v);
             }
         }
+    }
+
+    /// Marks `rob[idx]` complete and releases its consumers: each operand
+    /// that waited on it stops pending, and a consumer left with none
+    /// joins the ready set.
+    fn complete(&mut self, idx: usize) {
         let e = &mut self.rob[idx];
-        for &(i, v) in &updates[..n] {
-            e.ops.slots[i].src = Src::Ready(v);
+        e.st = St::Done;
+        e.t_complete = Some(self.now);
+        let (seq, deps) = (e.seq, std::mem::replace(&mut e.deps, Dependents::EMPTY));
+        if deps.overflow {
+            for c in idx + 1..self.rob.len() {
+                let n = self.rob[c]
+                    .ops
+                    .iter()
+                    .filter(|op| op.src == Src::Wait(seq))
+                    .count();
+                if n > 0 {
+                    self.release(c, n as u8);
+                }
+            }
+        } else {
+            for &c in deps.as_slice() {
+                self.release((c - self.front_seq) as usize, 1);
+            }
         }
-        all
+    }
+
+    #[inline]
+    fn release(&mut self, idx: usize, n: u8) {
+        let e = &mut self.rob[idx];
+        e.pending -= n;
+        if e.pending == 0 && e.st == St::Waiting {
+            let seq = e.seq;
+            self.ready.insert(seq);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1331,53 +1610,53 @@ impl Cpu {
     // ------------------------------------------------------------------
     fn writeback<P: MemPort>(&mut self, port: &mut P) {
         let now = self.now;
-        let mut redirect: Option<(usize, usize)> = None; // (rob idx, next pc)
-        for idx in 0..self.rob.len() {
-            let e = &mut self.rob[idx];
+        let mut i = 0;
+        while let Some(seq) = self.in_flight.get(i) {
+            let idx = (seq - self.front_seq) as usize;
+            let e = &self.rob[idx];
             match e.st {
                 St::Agen { done_at } if done_at <= now => {
+                    self.in_flight.remove_at(i);
+                    let e = &mut self.rob[idx];
                     e.st = St::AddrReady;
-                    self.worked = true;
+                    if e.cached_mem_ready() {
+                        self.ready.insert(seq);
+                    }
                 }
                 St::Exec { done_at } if done_at <= now => {
-                    e.st = St::Done;
-                    e.t_complete = Some(now);
-                    self.worked = true;
+                    self.in_flight.remove_at(i);
+                    self.complete(idx);
+                    let e = &self.rob[idx];
                     if e.inst.kind() == InstKind::Branch && e.value as usize != e.predicted_next {
-                        redirect = Some((idx, e.value as usize));
-                        break;
+                        let next = e.value as usize;
+                        self.stats.mispredicts += 1;
+                        self.squash_after(idx);
+                        self.fetch_q.clear();
+                        self.fetch_pc = next;
+                        self.fetch_stopped = false;
+                        return;
                     }
                 }
                 St::MemAccess { done_at } if done_at <= now => {
-                    e.st = St::Done;
-                    e.t_complete = Some(now);
-                    self.worked = true;
+                    self.in_flight.remove_at(i);
+                    self.complete(idx);
                 }
                 St::UncachedWait => {
-                    let seq = e.seq;
-                    let is_swap = matches!(e.inst, Inst::Swap { .. });
-                    let polled = if is_swap {
+                    let polled = if matches!(e.inst, Inst::Swap { .. }) {
                         port.uncached_swap_poll(seq)
                     } else {
                         port.uncached_load_poll(seq)
                     };
                     if let Some(v) = polled {
-                        let e = &mut self.rob[idx];
-                        e.value = v;
-                        e.st = St::Done;
-                        e.t_complete = Some(now);
-                        self.worked = true;
+                        self.in_flight.remove_at(i);
+                        self.rob[idx].value = v;
+                        self.complete(idx);
+                    } else {
+                        i += 1;
                     }
                 }
-                _ => {}
+                _ => i += 1,
             }
-        }
-        if let Some((idx, next)) = redirect {
-            self.stats.mispredicts += 1;
-            self.squash_after(idx);
-            self.fetch_q.clear();
-            self.fetch_pc = next;
-            self.fetch_stopped = false;
         }
     }
 
@@ -1414,8 +1693,15 @@ impl Cpu {
         // Recycle the squashed sequence numbers so the ROB invariant
         // `rob[i].seq == front_seq + i` keeps holding for new dispatches.
         // Squashed entries never issued uncached transactions (only the ROB
-        // head does), so their tags cannot be in flight.
+        // head does), so their tags cannot be in flight. Every reference to
+        // a squashed seq goes with them, before a new dispatch reuses it.
         self.next_seq = self.front_seq + self.rob.len() as u64;
+        let last = self.rob[idx].seq;
+        self.ready.truncate_after(last);
+        self.in_flight.truncate_after(last);
+        for i in 0..=idx {
+            self.rob[i].deps.truncate_after(last);
+        }
         self.rename.clear();
         for e in self.rob.iter() {
             if let Some(d) = e.inst.def() {
@@ -1460,9 +1746,7 @@ impl Cpu {
         uncached_budget: &mut usize,
         budget: &mut usize,
     ) -> bool {
-        if !self.ops_ready(0) {
-            return false;
-        }
+        // Issue resolved every operand when the entry left `Waiting`.
         let e = &self.rob[0];
         let addr = e.addr.expect("AddrReady implies address");
         let space = e.space.expect("AddrReady implies space");
@@ -1483,7 +1767,8 @@ impl Cpu {
                 e.value = old;
                 e.mem_started = true;
                 e.st = St::MemAccess { done_at };
-                self.worked = true;
+                let seq = e.seq;
+                self.in_flight.insert(seq);
                 false
             }
             (Inst::Swap { .. }, AddressSpace::UncachedCombining) => {
@@ -1511,7 +1796,8 @@ impl Cpu {
                 e.value = result;
                 e.mem_started = true;
                 e.st = St::Exec { done_at };
-                self.worked = true;
+                let seq = e.seq;
+                self.in_flight.insert(seq);
                 false
             }
             (Inst::Swap { .. }, AddressSpace::Uncached) => {
@@ -1530,7 +1816,7 @@ impl Cpu {
                 let e = &mut self.rob[0];
                 e.mem_started = true;
                 e.st = St::UncachedWait;
-                self.worked = true;
+                self.in_flight.insert(seq);
                 false
             }
             (Inst::Store { .. } | Inst::StoreF { .. }, AddressSpace::Uncached) => {
@@ -1543,10 +1829,8 @@ impl Cpu {
                     return false;
                 }
                 *uncached_budget -= 1;
-                let e = &mut self.rob[0];
-                e.st = St::Done;
-                e.t_issue = Some(now);
-                e.t_complete = Some(now);
+                self.rob[0].t_issue = Some(now);
+                self.complete(0);
                 self.commit_head(port);
                 *budget -= 1;
                 true
@@ -1562,10 +1846,8 @@ impl Cpu {
                 }
                 *uncached_budget -= 1;
                 self.stats.combining_stores += 1;
-                let e = &mut self.rob[0];
-                e.st = St::Done;
-                e.t_issue = Some(now);
-                e.t_complete = Some(now);
+                self.rob[0].t_issue = Some(now);
+                self.complete(0);
                 self.commit_head(port);
                 *budget -= 1;
                 true
@@ -1588,7 +1870,7 @@ impl Cpu {
                 let e = &mut self.rob[0];
                 e.mem_started = true;
                 e.st = St::UncachedWait;
-                self.worked = true;
+                self.in_flight.insert(seq);
                 false
             }
             // Cached loads/stores never reach here in AddrReady at the
@@ -1601,7 +1883,6 @@ impl Cpu {
     fn commit_head<P: MemPort>(&mut self, port: &mut P) {
         let e = self.rob.pop_front();
         self.front_seq = e.seq + 1;
-        self.worked = true;
         debug_assert_eq!(e.st, St::Done);
         let now = self.now;
         self.record_trace(&e, Some(now));
@@ -1678,100 +1959,80 @@ impl Cpu {
         let mut fp_avail = self.cfg.fp_units;
         let mut agen_avail = self.cfg.agen_units;
 
-        for idx in 0..self.rob.len() {
+        let mut i = 0;
+        while let Some(seq) = self.ready.get(i) {
             if int_avail == 0 && fp_avail == 0 && agen_avail == 0 {
                 break;
             }
-            match self.rob[idx].st {
+            let idx = (seq - self.front_seq) as usize;
+            let e = &self.rob[idx];
+            let kind = e.inst.kind();
+            let st = match e.st {
                 St::Waiting => {
-                    let kind = self.rob[idx].inst.kind();
-                    match kind {
-                        InstKind::IntAlu | InstKind::Branch
-                            if int_avail > 0 && self.ops_ready(idx) =>
-                        {
-                            int_avail -= 1;
-                            let e = &self.rob[idx];
-                            let value = self.compute(e);
-                            let e = &mut self.rob[idx];
-                            e.value = value;
-                            e.t_issue = Some(now);
-                            e.st = St::Exec {
-                                done_at: now + self.cfg.int_latency,
-                            };
-                            self.worked = true;
+                    let (avail, latency) = match kind {
+                        InstKind::IntAlu | InstKind::Branch => {
+                            (&mut int_avail, self.cfg.int_latency)
                         }
-                        InstKind::FpAlu if fp_avail > 0 && self.ops_ready(idx) => {
-                            fp_avail -= 1;
-                            let e = &self.rob[idx];
-                            let value = self.compute(e);
-                            let e = &mut self.rob[idx];
-                            e.value = value;
-                            e.t_issue = Some(now);
-                            e.st = St::Exec {
-                                done_at: now + self.cfg.fp_latency,
-                            };
-                            self.worked = true;
-                        }
-                        InstKind::Load | InstKind::Store | InstKind::Swap
-                            if agen_avail > 0 && self.ops_ready(idx) =>
-                        {
-                            agen_avail -= 1;
-                            let e = &self.rob[idx];
-                            let base_idx = match e.inst {
-                                Inst::Load { .. } => 0,
-                                _ => 1, // Store/StoreF/Swap: [data, base]
-                            };
-                            let offset = match e.inst {
-                                Inst::Load { offset, .. }
-                                | Inst::Store { offset, .. }
-                                | Inst::StoreF { offset, .. }
-                                | Inst::Swap { offset, .. } => offset,
-                                _ => unreachable!(),
-                            };
-                            let addr = Addr::new(e.op_val(base_idx)).offset(offset);
-                            let space = port.space_of(addr);
-                            let e = &mut self.rob[idx];
-                            e.addr = Some(addr);
-                            e.space = Some(space);
-                            e.t_issue = Some(now);
-                            e.st = St::Agen {
-                                done_at: now + self.cfg.agen_latency,
-                            };
-                            self.worked = true;
-                        }
-                        // Nop/Mark/Halt/Membar were Done at dispatch.
-                        _ => {}
+                        InstKind::FpAlu => (&mut fp_avail, self.cfg.fp_latency),
+                        // Load/Store/Swap: Nop/Mark/Halt/Membar were Done at
+                        // dispatch and never wait.
+                        _ => (&mut agen_avail, self.cfg.agen_latency),
+                    };
+                    if *avail == 0 {
+                        i += 1;
+                        continue;
                     }
-                }
-                St::AddrReady => {
+                    *avail -= 1;
+                    self.resolve_ops(idx);
+                    let done_at = now + latency;
                     let e = &self.rob[idx];
-                    match (e.inst.kind(), e.space) {
-                        (InstKind::Load, Some(AddressSpace::Cached))
-                            if agen_avail > 0 && self.load_may_proceed(idx) =>
-                        {
-                            agen_avail -= 1;
-                            let e = &self.rob[idx];
-                            let (addr, width) = (e.addr.unwrap(), mem_width(&e.inst));
-                            let done_at = port.cached_access(addr, AccessKind::Read, now);
-                            let value = port.read(addr, width);
-                            let e = &mut self.rob[idx];
-                            e.value = value;
-                            e.st = St::MemAccess { done_at };
-                            self.worked = true;
-                        }
-                        (InstKind::Store, Some(AddressSpace::Cached)) => {
-                            // Completes now; memory written at commit.
-                            let e = &mut self.rob[idx];
-                            e.st = St::Done;
-                            e.t_complete = Some(now);
-                            self.worked = true;
-                        }
-                        // Uncached ops and atomics wait for the head.
-                        _ => {}
+                    if let Inst::Load { offset, .. }
+                    | Inst::Store { offset, .. }
+                    | Inst::StoreF { offset, .. }
+                    | Inst::Swap { offset, .. } = e.inst
+                    {
+                        // Operands are [base] for a load, [data, base]
+                        // otherwise.
+                        let base_idx = usize::from(kind != InstKind::Load);
+                        let addr = Addr::new(e.op_val(base_idx)).offset(offset);
+                        let e = &mut self.rob[idx];
+                        e.addr = Some(addr);
+                        e.space = Some(port.space_of(addr));
+                        St::Agen { done_at }
+                    } else {
+                        let value = self.compute(e);
+                        self.rob[idx].value = value;
+                        St::Exec { done_at }
                     }
                 }
-                _ => {}
-            }
+                // A cached load or store with its address known.
+                _ if kind == InstKind::Store => {
+                    // Completes now; memory written at commit.
+                    self.ready.remove_at(i);
+                    self.complete(idx);
+                    continue;
+                }
+                _ if agen_avail > 0 && self.load_may_proceed(idx) => {
+                    agen_avail -= 1;
+                    let (addr, width) = (e.addr.unwrap(), mem_width(&e.inst));
+                    let done_at = port.cached_access(addr, AccessKind::Read, now);
+                    self.rob[idx].value = port.read(addr, width);
+                    self.ready.remove_at(i);
+                    self.rob[idx].st = St::MemAccess { done_at };
+                    self.in_flight.insert(seq);
+                    continue;
+                }
+                _ => {
+                    i += 1;
+                    continue;
+                }
+            };
+            let e = &mut self.rob[idx];
+            e.t_issue = Some(now);
+            e.st = st;
+            self.ready.remove_at(i);
+            self.in_flight.insert(seq);
+            self.issued = true;
         }
     }
 
@@ -1854,16 +2115,19 @@ impl Cpu {
             self.next_seq += 1;
 
             let mut ops = Ops::EMPTY;
+            let mut pending = 0;
             let mut regs = [RegRef::Cc; 3];
             let nregs = f.inst.uses_into(&mut regs);
             for &reg in &regs[..nregs] {
                 let src = match self.rename.get(reg) {
                     Some(pseq) => {
                         let idx = (pseq - self.front_seq) as usize;
-                        let p = &self.rob[idx];
+                        let p = &mut self.rob[idx];
                         if p.st == St::Done {
                             Src::Ready(p.value)
                         } else {
+                            p.deps.push(seq);
+                            pending += 1;
                             Src::Wait(pseq)
                         }
                     }
@@ -1885,6 +2149,8 @@ impl Cpu {
                 inst: f.inst,
                 st,
                 ops,
+                pending,
+                deps: Dependents::EMPTY,
                 value: 0,
                 addr: None,
                 space: None,
@@ -1895,7 +2161,10 @@ impl Cpu {
                 t_issue: None,
                 t_complete: None,
             });
-            self.worked = true;
+            if st == St::Waiting && pending == 0 {
+                self.ready.insert(seq);
+            }
+            self.issued = true;
         }
     }
 
@@ -1931,7 +2200,6 @@ impl Cpu {
                 predicted_next,
                 t_fetch: self.now,
             });
-            self.worked = true;
             if matches!(inst, Inst::Halt) {
                 self.fetch_stopped = true;
                 break;

@@ -665,3 +665,120 @@ fn loads_to_different_addresses_proceed_past_stores() {
     cpu.run(&mut port, 10_000).unwrap();
     assert_eq!(cpu.context().int_reg(Reg::L1), 7);
 }
+
+/// Snapshots a core at every cycle of a run in which six operands wait on
+/// one slow FP producer (overflowing its inline consumer list), restores
+/// each frame into a fresh core, and checks that the rebuilt scheduler
+/// state matches the donor's and that the run finishes identically.
+#[test]
+fn snapshot_with_waiting_consumers_resumes_identically() {
+    use csb_isa::FpuOp;
+    let (f0, f1, f2) = (FReg::new(0), FReg::new(1), FReg::new(2));
+    let mut a = Assembler::new();
+    a.fmovi(f0, 1.5f64.to_bits());
+    a.fmovi(f1, 2.0f64.to_bits());
+    a.movi(Reg::L0, 3);
+    let top = a.new_label();
+    a.bind(top).unwrap();
+    a.fpu(FpuOp::FMul, f2, f0, f1);
+    a.fpu(FpuOp::FAdd, FReg::new(3), f2, f2);
+    a.fpu(FpuOp::FAdd, FReg::new(4), f2, f0);
+    a.fpu(FpuOp::FSub, FReg::new(5), f2, f1);
+    a.fpu(FpuOp::FMul, FReg::new(6), f2, f2);
+    a.fpu(FpuOp::FAdd, f0, FReg::new(6), FReg::new(3));
+    a.alui(AluOp::Sub, Reg::L0, Reg::L0, 1);
+    a.cmpi(Reg::L0, 0);
+    a.bnz(top);
+    a.halt();
+    let program = a.assemble().unwrap();
+    let cfg = CpuConfig {
+        fp_latency: 12,
+        ..CpuConfig::default()
+    };
+
+    let mut whole = Cpu::new(cfg, program.clone());
+    let expected = whole.run(&mut SimpleMemPort::new(), 10_000).unwrap();
+    let (mut waited, mut overflowed) = (false, false);
+    for at in 0..expected.cycles {
+        let mut donor = Cpu::new(cfg, program.clone());
+        let mut port = SimpleMemPort::new();
+        while donor.now() < at {
+            donor.tick(&mut port);
+        }
+        waited |= donor.rob.iter().any(|e| e.pending > 0);
+        overflowed |= donor.rob.iter().any(|e| e.deps.overflow);
+        let mut w = csb_snap::SnapshotWriter::new();
+        donor.save_state(&mut w);
+        let bytes = w.finish();
+
+        let mut resumed = Cpu::new(cfg, program.clone());
+        resumed
+            .restore_state(&mut csb_snap::SnapshotReader::new(&bytes))
+            .unwrap();
+        assert_eq!(resumed.ready.0, donor.ready.0, "ready set at {at}");
+        assert_eq!(
+            resumed.in_flight.0, donor.in_flight.0,
+            "in-flight set at {at}"
+        );
+        let pending = |c: &Cpu| c.rob.iter().map(|e| e.pending).collect::<Vec<_>>();
+        assert_eq!(pending(&resumed), pending(&donor), "pending counts at {at}");
+
+        let got = resumed.run(&mut SimpleMemPort::new(), 10_000).unwrap();
+        assert_eq!(got, expected, "resumed at {at}");
+        assert_eq!(resumed.context(), whole.context(), "context after {at}");
+        assert_eq!(
+            donor.run(&mut port, 10_000).unwrap(),
+            expected,
+            "donor at {at}"
+        );
+    }
+    assert!(waited, "no snapshot caught a consumer waiting");
+    assert!(overflowed, "no snapshot caught an overflowed consumer list");
+}
+
+/// A restored ROB the scheduler could not follow is rejected as corrupt
+/// rather than panicking later.
+#[test]
+fn restore_rejects_unfollowable_rob() {
+    let mut a = Assembler::new();
+    a.movi(Reg::L0, 7);
+    a.alu(AluOp::Add, Reg::L1, Reg::L0, Reg::L0);
+    a.alu(AluOp::Add, Reg::L2, Reg::L1, Reg::L0);
+    a.halt();
+    let program = a.assemble().unwrap();
+    let cfg = CpuConfig::default();
+    let mut donor = Cpu::new(cfg, program.clone());
+    let mut port = SimpleMemPort::new();
+    while !donor.rob.iter().any(|e| e.pending > 0) {
+        donor.tick(&mut port);
+    }
+    let restore = |c: &Cpu| {
+        let mut w = csb_snap::SnapshotWriter::new();
+        c.save_state(&mut w);
+        let bytes = w.finish();
+        Cpu::new(cfg, program.clone()).restore_state(&mut csb_snap::SnapshotReader::new(&bytes))
+    };
+    assert!(restore(&donor).is_ok());
+
+    let waiting = donor.rob.iter().position(|e| e.pending > 0).unwrap();
+    let own = donor.rob[waiting].seq;
+    let corruptions: [&dyn Fn(&mut Cpu); 4] = [
+        &|c| c.rob[1].seq += 1,
+        &|c| c.next_seq += 1,
+        &|c| c.rob[waiting].ops.slots[0].src = Src::Wait(own),
+        &|c| c.rename.slots[0] = Some(c.next_seq),
+    ];
+    for corrupt in corruptions {
+        let mut w = csb_snap::SnapshotWriter::new();
+        donor.save_state(&mut w);
+        let bytes = w.finish();
+        let mut bad = Cpu::new(cfg, program.clone());
+        bad.restore_state(&mut csb_snap::SnapshotReader::new(&bytes))
+            .unwrap();
+        corrupt(&mut bad);
+        assert!(matches!(
+            restore(&bad),
+            Err(csb_snap::SnapshotError::Corrupt(_))
+        ));
+    }
+}

@@ -1,6 +1,5 @@
 //! Programs and the assembler-style builder used to write microbenchmarks.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -53,11 +52,35 @@ impl std::error::Error for ProgramError {}
 /// An assembled, immutable program: instructions plus resolved branch targets.
 ///
 /// Branch targets are resolved to instruction indices at assembly time; the
-/// CPU asks for them with [`Program::branch_target`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// CPU asks for them with [`Program::branch_target`]. They are stored
+/// densely by label id (`None` for a label never bound), so a lookup is one
+/// index.
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Program {
     insts: Vec<Inst>,
-    targets: HashMap<u32, usize>,
+    targets: Vec<Option<usize>>,
+}
+
+/// Renders the bound targets as a `{label: index}` map in label order.
+/// Snapshot fingerprints hash the `Debug` text, so it must be the same for
+/// every identically assembled program; the map form also keeps the
+/// fingerprints of programs with at most one label equal across versions.
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Targets<'a>(&'a [Option<usize>]);
+        impl fmt::Debug for Targets<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let bound = self.0.iter().enumerate();
+                f.debug_map()
+                    .entries(bound.filter_map(|(id, t)| t.map(|pc| (id, pc))))
+                    .finish()
+            }
+        }
+        f.debug_struct("Program")
+            .field("insts", &self.insts)
+            .field("targets", &Targets(&self.targets))
+            .finish()
+    }
 }
 
 impl Program {
@@ -84,7 +107,9 @@ impl Program {
     /// every branch target resolves).
     pub fn branch_target(&self, inst: &Inst) -> usize {
         match inst {
-            Inst::Branch { target, .. } => self.targets[&target.0],
+            Inst::Branch { target, .. } => {
+                self.targets[target.0 as usize].expect("assembly binds every branch target")
+            }
             other => panic!("branch_target called on non-branch {other}"),
         }
     }
@@ -128,8 +153,9 @@ impl Program {
 #[derive(Debug, Default)]
 pub struct Assembler {
     insts: Vec<Inst>,
-    next_label: u32,
-    bound: HashMap<u32, usize>,
+    /// Bound position of each label, indexed by label id; ids are handed
+    /// out in sequence by [`Assembler::new_label`].
+    bound: Vec<Option<usize>>,
 }
 
 impl Assembler {
@@ -140,8 +166,8 @@ impl Assembler {
 
     /// Allocates a fresh, unbound label.
     pub fn new_label(&mut self) -> Label {
-        let id = self.next_label;
-        self.next_label += 1;
+        let id = self.bound.len() as u32;
+        self.bound.push(None);
         Label(LabelId(id))
     }
 
@@ -152,7 +178,11 @@ impl Assembler {
     /// Returns [`ProgramError::Rebound`] if the label was already bound.
     pub fn bind(&mut self, label: Label) -> Result<&mut Self, ProgramError> {
         let id = label.0 .0;
-        if self.bound.insert(id, self.insts.len()).is_some() {
+        let idx = id as usize;
+        if idx >= self.bound.len() {
+            self.bound.resize(idx + 1, None);
+        }
+        if self.bound[idx].replace(self.insts.len()).is_some() {
             return Err(ProgramError::Rebound { label: id });
         }
         Ok(self)
@@ -318,7 +348,13 @@ impl Assembler {
         }
         for inst in &self.insts {
             if let Inst::Branch { target, .. } = inst {
-                if !self.bound.contains_key(&target.0) {
+                if self
+                    .bound
+                    .get(target.0 as usize)
+                    .copied()
+                    .flatten()
+                    .is_none()
+                {
                     return Err(ProgramError::UnboundLabel { label: target.0 });
                 }
             }

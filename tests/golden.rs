@@ -9,7 +9,9 @@ use std::fs;
 use std::path::PathBuf;
 
 use csb_core::experiments::{bandwidth_panel, fig5};
-use csb_core::SimConfig;
+use csb_core::{SimConfig, Simulator, COMBINING_BASE, LOCK_ADDR, UNCACHED_BASE};
+use csb_cpu::{CpuConfig, InstTrace};
+use csb_isa::{AluOp, Assembler, FReg, FpuOp, MemWidth, Program, Reg};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -18,11 +20,17 @@ fn golden_path(name: &str) -> PathBuf {
 }
 
 fn check_or_update<T: serde::Serialize>(name: &str, value: &T) {
+    check_text(
+        name,
+        &serde_json::to_string_pretty(value).expect("serializes"),
+    );
+}
+
+fn check_text(name: &str, actual: &str) {
     let path = golden_path(name);
-    let actual = serde_json::to_string_pretty(value).expect("serializes");
     if std::env::var("UPDATE_GOLDEN").is_ok() {
         fs::create_dir_all(path.parent().expect("has parent")).expect("mkdir");
-        fs::write(&path, &actual).expect("golden file writes");
+        fs::write(&path, actual).expect("golden file writes");
         return;
     }
     let expected = fs::read_to_string(&path).unwrap_or_else(|_| {
@@ -63,4 +71,160 @@ fn fig4a_panel_matches_golden() {
     );
     let panel = bandwidth_panel("4a", "16B split bus", &cfg).expect("panel simulates");
     check_or_update("fig4a.json", &panel);
+}
+
+/// Tiny xorshift generator so the timing programs depend on nothing but
+/// their seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// A seeded loop whose body mixes the pipeline's scheduling corner cases:
+/// a slow load feeding more consumers than a short dependents list holds,
+/// data-dependent forward branches (mispredict squashes that recycle
+/// sequence numbers), cached store/load overlap, cached and uncached
+/// swaps, combining stores with a conditional flush, uncached loads and
+/// stores, membars, and FP chains.
+fn timing_program(seed: u64) -> Program {
+    let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1);
+    let mut a = Assembler::new();
+    a.movi(Reg::O0, 0x4000);
+    a.movi(Reg::O1, UNCACHED_BASE as i64);
+    a.movi(Reg::O2, COMBINING_BASE as i64);
+    a.movi(Reg::O3, LOCK_ADDR as i64);
+    a.movi(Reg::I0, 3);
+    a.fmovi(FReg::new(0), 1.5f64.to_bits());
+    let top = a.new_label();
+    a.bind(top).expect("fresh label");
+    for _ in 0..10 {
+        let off = 8 * rng.below(16) as i64;
+        match rng.below(9) {
+            0 => {
+                // One slow producer, six consumers (two read it twice).
+                a.ld(Reg::L0, Reg::O0, 256 * rng.below(8) as i64, MemWidth::B8);
+                for (k, dst) in [Reg::L1, Reg::L2, Reg::L3, Reg::L4].into_iter().enumerate() {
+                    a.alui(AluOp::Add, dst, Reg::L0, k as i64 + 1);
+                }
+                a.alu(AluOp::Xor, Reg::L5, Reg::L0, Reg::L0);
+                a.alu(AluOp::Add, Reg::L6, Reg::L0, Reg::L0);
+            }
+            1 => {
+                let skip = a.new_label();
+                a.alui(AluOp::And, Reg::L7, Reg::I0, 1);
+                a.cmpi(Reg::L7, 0);
+                a.bz(skip);
+                a.alui(AluOp::Add, Reg::L1, Reg::L1, 3);
+                a.alu(AluOp::Sub, Reg::L2, Reg::L1, Reg::L7);
+                a.bind(skip).expect("fresh label");
+            }
+            2 => {
+                a.st(Reg::L1, Reg::O0, off, MemWidth::B8);
+                a.ld(Reg::L2, Reg::O0, off + 4, MemWidth::B4);
+                a.ld(Reg::L3, Reg::O0, off + 64, MemWidth::B8);
+            }
+            3 => {
+                a.movi(Reg::L4, 1);
+                a.swap(Reg::L4, Reg::O3, 0);
+                a.alui(AluOp::Add, Reg::L5, Reg::L4, 1);
+            }
+            4 => {
+                a.swap(Reg::L5, Reg::O1, off);
+                a.alu(AluOp::Or, Reg::L6, Reg::L5, Reg::L1);
+            }
+            5 => {
+                a.st(Reg::L1, Reg::O1, off, MemWidth::B8);
+                a.ld(Reg::L2, Reg::O1, off + 128, MemWidth::B8);
+                a.alui(AluOp::Add, Reg::L3, Reg::L2, 1);
+            }
+            6 => {
+                let line = 64 * rng.below(4) as i64;
+                a.std(Reg::L1, Reg::O2, line);
+                a.std(Reg::L2, Reg::O2, line + 8);
+                a.movi(Reg::L4, 2);
+                a.swap(Reg::L4, Reg::O2, line);
+                a.cmpi(Reg::L4, 2);
+            }
+            7 => {
+                a.st(Reg::L3, Reg::O1, off, MemWidth::B4);
+                a.membar();
+            }
+            _ => {
+                let (f0, f1, f2) = (FReg::new(0), FReg::new(1), FReg::new(2));
+                a.fpu(FpuOp::FMul, f1, f0, f0);
+                a.fpu(FpuOp::FAdd, f2, f1, f0);
+                a.stdf(f2, Reg::O0, off + 512);
+            }
+        }
+    }
+    a.alui(AluOp::Sub, Reg::I0, Reg::I0, 1);
+    a.cmpi(Reg::I0, 0);
+    a.bnz(top);
+    a.halt();
+    a.assemble().expect("timing program assembles")
+}
+
+fn cycle(c: Option<u64>) -> String {
+    c.map_or_else(|| "-".to_string(), |c| c.to_string())
+}
+
+fn render_timing(out: &mut String, traces: &[InstTrace]) {
+    use std::fmt::Write as _;
+    for t in traces {
+        let _ = writeln!(
+            out,
+            "{} {} {} {} {} {} {} {}",
+            t.seq,
+            t.pc,
+            t.fetched,
+            t.dispatched,
+            cycle(t.issued),
+            cycle(t.completed),
+            cycle(t.retired),
+            if t.squashed { "x" } else { "r" }
+        );
+    }
+}
+
+/// Cycle-exact pipeline timing: every instruction's fetch, dispatch,
+/// issue, complete and retire cycle on seeded programs at widths 1, 2, 4
+/// and 8 (ROB 16 to 128), identical with fast-forward on and off.
+/// Scheduler changes must reproduce it exactly.
+#[test]
+fn pipeline_timing_matches_golden() {
+    let mut out = String::new();
+    for seed in 1..=4 {
+        let program = timing_program(seed);
+        for width in [1, 2, 4, 8] {
+            let [naive, ff] = [false, true].map(|fast_forward| {
+                let cfg = SimConfig::default().cpu(CpuConfig::superscalar(width));
+                let mut sim = Simulator::new(cfg, program.clone()).expect("config valid");
+                sim.set_fast_forward(fast_forward);
+                sim.cpu_mut().enable_trace();
+                let summary = sim.run(1_000_000).expect("timing program halts");
+                let mut text = format!(
+                    "# seed {seed} width {width} cycles {} retired {} squashed {}\n",
+                    summary.cycles, summary.cpu.retired, summary.cpu.squashed
+                );
+                render_timing(&mut text, sim.cpu().trace());
+                text
+            });
+            assert_eq!(
+                naive, ff,
+                "seed {seed} width {width}: fast-forward moved a cycle"
+            );
+            out.push_str(&ff);
+        }
+    }
+    check_text("pipeline_timing.txt", &out);
 }

@@ -223,6 +223,43 @@ fn restore_rejects_mismatch_and_corruption() {
 }
 
 #[test]
+fn rebuilt_program_fingerprints_equal_and_restores() {
+    let cfg = SimConfig::default();
+    // The backoff retry loop binds several labels, so a fingerprint that
+    // depended on a hash map's per-instance iteration order would differ
+    // between independent builds.
+    let build = || {
+        workloads::csb_sequence_with_policy(
+            8,
+            RetryPolicy::Backoff {
+                attempts: 12,
+                base: 32,
+                max: 1024,
+                seed: 11,
+            },
+            &cfg,
+        )
+        .unwrap()
+    };
+    let first = csb_core::snapshot::program_fingerprint(&build());
+    for _ in 0..6 {
+        assert_eq!(csb_core::snapshot::program_fingerprint(&build()), first);
+    }
+
+    let mut whole = Simulator::new(cfg.clone(), build()).unwrap();
+    let expected = whole.run(LIMIT).unwrap();
+    let mut donor = Simulator::new(cfg.clone(), build()).unwrap();
+    donor.run_to(150).unwrap();
+    let bytes = donor.snapshot();
+    let mut resumed = Simulator::restore(cfg.clone(), build(), &bytes)
+        .expect("a frame restores against an independently rebuilt program");
+    assert_eq!(
+        serde_json::to_string(&resumed.run(LIMIT).unwrap()).unwrap(),
+        serde_json::to_string(&expected).unwrap()
+    );
+}
+
+#[test]
 fn snapshot_respects_watchdog_state() {
     // A snapshot taken shortly before a livelock fires must, after
     // restore, still fire at the identical cycle with the identical
