@@ -317,6 +317,11 @@ fn decode_contend_payload(bytes: &[u8]) -> Option<PointResult> {
         let min = r.take_u64().ok()?;
         let max = r.take_u64().ok()?;
         let len = r.take_usize().ok()?;
+        // Each bucket takes 16 bytes: a length the rest cannot hold is
+        // corrupt, and must not size an allocation.
+        if len > r.remaining() / 8 {
+            return None;
+        }
         let mut buckets = Vec::with_capacity(len);
         for _ in 0..len {
             let le = r.take_u64().ok()?;
@@ -603,6 +608,21 @@ mod tests {
         assert_eq!(r.payload_bytes, (4 * ITERATIONS * DWORDS * 8) as u64);
         assert!(r.flush.is_none(), "lock path never flushes the CSB");
         assert_eq!(r.cross_pid_resets, 0);
+    }
+
+    #[test]
+    fn payload_with_oversized_bucket_count_is_rejected() {
+        let mut w = csb_snap::SnapshotWriter::new();
+        w.put_tag("cnt");
+        for v in [512, 4_000, 3, 0, 0, 5_000] {
+            w.put_u64(v);
+        }
+        w.put_bool(true);
+        for v in [1, 100, 100, 100] {
+            w.put_u64(v);
+        }
+        w.put_usize(1 << 60);
+        assert!(decode_contend_payload(&w.finish()).is_none());
     }
 
     #[test]

@@ -69,7 +69,7 @@ const SLOTS: usize = 4;
 const SENDER: u16 = 1;
 
 /// Cycle budget per point (the watchdog fires far earlier on livelock).
-const POINT_LIMIT: u64 = 2_000_000;
+pub(crate) const POINT_LIMIT: u64 = 2_000_000;
 
 /// The end-to-end latency histogram the quantile columns read.
 const E2E_HISTOGRAM: &str = "nic_e2e_latency";
@@ -400,6 +400,11 @@ fn decode_messaging_payload(bytes: &[u8]) -> Option<PointResult> {
         let min = r.take_u64().ok()?;
         let max = r.take_u64().ok()?;
         let len = r.take_usize().ok()?;
+        // Each bucket takes 16 bytes: a length the rest cannot hold is
+        // corrupt, and must not size an allocation.
+        if len > r.remaining() / 8 {
+            return None;
+        }
         let mut buckets = Vec::with_capacity(len);
         for _ in 0..len {
             let le = r.take_u64().ok()?;
@@ -424,6 +429,44 @@ fn decode_messaging_payload(bytes: &[u8]) -> Option<PointResult> {
         wall: Duration::ZERO,
         artifacts: PointArtifacts::default(),
     })
+}
+
+/// Readies one (path, size, policy, rate, seed) point in a reusable
+/// simulator slot: the sender program, the attached NI, the fault
+/// schedule, and metrics (the end-to-end quantiles *are* the result, so
+/// they always record).
+pub(crate) fn prepare_point(
+    slot: &mut Option<Simulator>,
+    path: SendPath,
+    size: usize,
+    policy: RetryPolicy,
+    rate: f64,
+    seed: u64,
+) -> Result<&mut Simulator, ExpError> {
+    let cfg = path.config();
+    let seeded = policy_for_seed(policy, seed);
+    let program = match path {
+        SendPath::Lock => workloads::lock_messages(spec(size), seeded, &cfg)?,
+        SendPath::Csb | SendPath::CsbDouble => workloads::csb_messages(spec(size), seeded, &cfg)?,
+    };
+    let nic_cfg = csb_nic::NicConfig {
+        slot_size: cfg.line(),
+        slots: SLOTS,
+        ..csb_nic::NicConfig::default()
+    };
+    let base = path.window_base();
+    let sim = super::install_sim(slot, cfg, program)?;
+    sim.attach_nic(nic_cfg, Addr::new(base))?;
+    if rate > 0.0 {
+        sim.set_faults(Some(
+            FaultConfig::new(seed)
+                .flush_disturb_rate(rate)
+                .bus_error_rate(rate * 0.25)
+                .device_nack_rate(rate * 0.25),
+        ));
+    }
+    sim.enable_metrics();
+    Ok(sim)
 }
 
 /// Runs one (path, size, policy, rate, seed) point through a reusable
@@ -455,33 +498,10 @@ fn run_point(
             cache.invalidate(key);
         }
     }
-    let cfg = path.config();
-    let seeded = policy_for_seed(policy, seed);
-    let program = match path {
-        SendPath::Lock => workloads::lock_messages(spec(size), seeded, &cfg)?,
-        SendPath::Csb | SendPath::CsbDouble => workloads::csb_messages(spec(size), seeded, &cfg)?,
-    };
-    let nic_cfg = csb_nic::NicConfig {
-        slot_size: cfg.line(),
-        slots: SLOTS,
-        ..csb_nic::NicConfig::default()
-    };
-    let base = path.window_base();
-    let sim = super::install_sim(slot, cfg, program)?;
-    sim.attach_nic(nic_cfg, Addr::new(base))?;
-    if rate > 0.0 {
-        sim.set_faults(Some(
-            FaultConfig::new(seed)
-                .flush_disturb_rate(rate)
-                .bus_error_rate(rate * 0.25)
-                .device_nack_rate(rate * 0.25),
-        ));
-    }
+    let sim = prepare_point(slot, path, size, policy, rate, seed)?;
     if obs.trace {
         sim.enable_tracing();
     }
-    // The end-to-end quantiles *are* the result, so metrics always record.
-    sim.enable_metrics();
     let livelock = match sim.run(POINT_LIMIT) {
         Ok(_) => false,
         Err(SimError::Livelock(_)) => true,
@@ -856,5 +876,22 @@ mod tests {
             decoded.e2e, live.e2e,
             "quantiles re-derived from buckets must match the live summary"
         );
+    }
+
+    #[test]
+    fn payload_with_oversized_bucket_count_is_rejected() {
+        let mut w = csb_snap::SnapshotWriter::new();
+        w.put_tag("msg");
+        for v in [16, 0, 0, 0, 0] {
+            w.put_u64(v);
+        }
+        w.put_bool(false);
+        w.put_u64(1_000);
+        w.put_bool(true);
+        for v in [1, 100, 100, 100] {
+            w.put_u64(v);
+        }
+        w.put_usize(1 << 60);
+        assert!(decode_messaging_payload(&w.finish()).is_none());
     }
 }

@@ -18,10 +18,10 @@ use std::time::Instant;
 use serde::Serialize;
 
 use super::runner::{PointSpec, PointValue, PointWork};
-use super::{contend, fig4, fig5, ExpError, Scheme, POINT_LIMIT};
+use super::{contend, fig4, fig5, messaging, ExpError, Scheme, POINT_LIMIT};
 use crate::config::SimConfig;
 use crate::multiproc::{MultiSim, SchedulerMode, SwitchPolicy};
-use crate::sim::{RunSummary, Simulator};
+use crate::sim::{RunSummary, SimError, Simulator};
 use crate::workloads::{self, StoreOrder, MARK_END, MARK_START};
 
 /// Before/after throughput for one figure point.
@@ -445,9 +445,83 @@ pub fn sched_point(samples: usize, reps: usize) -> Result<ThroughputPoint, ExpEr
     })
 }
 
-/// Measures every [`default_points`] spec, plus the many-core scheduler
-/// point ([`sched_point`] — heap vs. round-robin rather than fast-forward
-/// vs. naive, reported through the same before/after row).
+/// Label of the messaging point appended by [`measure`].
+pub const MESSAGING_POINT_LABEL: &str = "msg/csb/8B/r90/backoff";
+
+/// One timed sample of the messaging point: the `messaging` sweep's
+/// first CSB / 8 B / backoff seed at disturb rate 0.9, `reps` executions
+/// through one reused simulator. Most flushes fail, so the sender spends
+/// most of the run in backoff delay loops — the loop-skip's home turf.
+/// The sample's value is the summary and delivered-message log.
+fn messaging_sample(fast_forward: bool, reps: usize) -> Result<Sample<String>, ExpError> {
+    use messaging::SendPath;
+    let policy = workloads::RetryPolicy::Backoff {
+        attempts: 12,
+        base: 32,
+        max: 1024,
+        seed: 0,
+    };
+    let seed = 0x0e2e_0000 + 100_000 + 2_000;
+    let mut slot = None;
+    messaging::prepare_point(&mut slot, SendPath::Csb, 1, policy, 0.9, seed)?;
+    let reps = reps.max(1);
+    let (mut cycles, mut ticks, mut digest) = (0, 0, String::new());
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        let sim = messaging::prepare_point(&mut slot, SendPath::Csb, 1, policy, 0.9, seed)?;
+        sim.set_fast_forward(fast_forward);
+        match sim.run(messaging::POINT_LIMIT) {
+            Ok(_) | Err(SimError::Livelock(_)) => {}
+            Err(e) => return Err(e.into()),
+        }
+        cycles = sim.summary().cycles;
+        ticks = sim.ticks();
+        let nic = sim.nic().expect("messaging points attach an NI");
+        digest = format!("{:?} {:?}", sim.summary(), nic.messages());
+    }
+    let wall = t0.elapsed().as_secs_f64();
+    Ok(Sample {
+        wall_s: wall / reps as f64,
+        cycles_per_sec: (cycles * reps as u64) as f64 / wall,
+        value: digest,
+        cycles,
+        ticks,
+    })
+}
+
+/// Measures the messaging point both ways (naive loop vs. fast-forward),
+/// asserting identical summaries and message logs.
+///
+/// # Errors
+///
+/// Propagates simulation failures from either leg.
+///
+/// # Panics
+///
+/// Panics if the legs disagree — a cycle-exactness bug.
+pub fn messaging_point(samples: usize, reps: usize) -> Result<ThroughputPoint, ExpError> {
+    let naive = best_of(samples, || messaging_sample(false, reps))?;
+    let ff = best_of(samples, || messaging_sample(true, reps))?;
+    assert_eq!(
+        naive.value, ff.value,
+        "{MESSAGING_POINT_LABEL}: fast-forward changed the simulation"
+    );
+    Ok(ThroughputPoint {
+        label: MESSAGING_POINT_LABEL.to_string(),
+        sim_cycles: ff.cycles,
+        ff_ticks: ff.ticks,
+        naive_wall_s: naive.wall_s,
+        naive_cycles_per_sec: naive.cycles_per_sec,
+        ff_wall_s: ff.wall_s,
+        ff_cycles_per_sec: ff.cycles_per_sec,
+        speedup: ff.cycles_per_sec / naive.cycles_per_sec,
+    })
+}
+
+/// Measures every [`default_points`] spec, the messaging point
+/// ([`messaging_point`]), and the many-core scheduler point
+/// ([`sched_point`] — heap vs. round-robin rather than fast-forward vs.
+/// naive, reported through the same before/after row).
 ///
 /// # Errors
 ///
@@ -457,6 +531,7 @@ pub fn measure(samples: usize, reps: usize) -> Result<ThroughputReport, ExpError
         .iter()
         .map(|spec| measure_point(spec, samples, reps))
         .collect::<Result<Vec<_>, _>>()?;
+    points.push(messaging_point(samples, reps)?);
     points.push(sched_point(samples, reps)?);
     Ok(ThroughputReport {
         samples,
@@ -551,6 +626,18 @@ mod tests {
             p.speedup,
             p.naive_wall_s * 1e3,
             p.ff_wall_s * 1e3,
+            p.sim_cycles
+        );
+    }
+
+    #[test]
+    fn messaging_point_spends_its_run_in_skipped_loops() {
+        let p = messaging_point(1, 1).unwrap();
+        assert_eq!(p.label, MESSAGING_POINT_LABEL);
+        assert!(
+            p.ff_ticks * 3 < p.sim_cycles,
+            "backoff delay loops must be jumped ({} ticks of {} cycles)",
+            p.ff_ticks,
             p.sim_cycles
         );
     }

@@ -1418,7 +1418,9 @@ impl Simulator {
     /// pipeline is stalled or drained and no bus slot or uncached
     /// completion falls in the gap — bulk-updating cycle counters and
     /// stall statistics so every observable result (summary, stats,
-    /// metrics) is identical to ticking cycle by cycle. Structured
+    /// metrics) is identical to ticking cycle by cycle. It also jumps
+    /// whole periods of register-only loops in steady state
+    /// ([`Cpu::skip_loop`]), recomputing their register values. Structured
     /// tracing composes with fast-forward: the walk synthesizes the
     /// per-cycle refusal events a naive loop would have emitted inside
     /// each jump, so the exported trace is byte-identical either way.
@@ -1431,7 +1433,7 @@ impl Simulator {
         self.fast_forward
     }
 
-    /// Real ticks executed so far (skipped idle cycles are not counted;
+    /// Real ticks executed so far (skipped cycles are not counted;
     /// without fast-forward this equals [`Cpu::now`]).
     pub fn ticks(&self) -> u64 {
         self.ticks
@@ -1455,6 +1457,9 @@ impl Simulator {
         let now = self.cpu.now();
         if now >= cap {
             return false;
+        }
+        if self.try_skip_loop(cap) {
+            return true;
         }
         // The horizon check runs after every tick that neither dispatched
         // nor issued: such a tick leaves work for the next one, so a walk
@@ -1530,6 +1535,28 @@ impl Simulator {
         self.machine.now = resume;
         let ratio = self.machine.ratio;
         self.bus_countdown = (ratio - resume % ratio) % ratio;
+        true
+    }
+
+    /// Jumps whole periods of a register-only loop in steady state
+    /// ([`Cpu::skip_loop`]), never past `cap`. Such a core makes no port
+    /// call, so the memory system evolves exactly as under the naive
+    /// loop's ticks: the drain walk with [`DrainWake::None`] applies its
+    /// bus grants, device deliveries and fault draws up to the target.
+    /// That walk stops early only at an uncached read or swap completion,
+    /// and none can be outstanding while no such instruction is in flight.
+    fn try_skip_loop(&mut self, cap: u64) -> bool {
+        if !self.machine.pending_reads.is_empty() || !self.machine.pending_swaps.is_empty() {
+            return false;
+        }
+        let Some(to) = self.cpu.skip_loop(cap) else {
+            return false;
+        };
+        let resume = self.machine.fast_forward(to, DrainWake::None, None);
+        assert_eq!(resume, to, "loop skip: memory-system walk stopped early");
+        self.machine.now = to;
+        let ratio = self.machine.ratio;
+        self.bus_countdown = (ratio - to % ratio) % ratio;
         true
     }
 

@@ -1,6 +1,6 @@
 //! Architectural (commit-level) processor context.
 
-use csb_isa::{FReg, Reg};
+use csb_isa::{FReg, Reg, RegRef};
 use serde::{Deserialize, Serialize};
 
 use crate::Pid;
@@ -83,6 +83,24 @@ impl CpuContext {
     /// Sets the condition-code flags.
     pub fn set_cc(&mut self, flags: u64) {
         self.cc = flags;
+    }
+
+    /// Reads any architectural register (`%g0` reads zero).
+    pub fn reg(&self, r: RegRef) -> u64 {
+        match r {
+            RegRef::Int(reg) => self.int_reg(reg),
+            RegRef::Fp(f) => self.fp_reg(f),
+            RegRef::Cc => self.cc,
+        }
+    }
+
+    /// Writes any architectural register (writes to `%g0` are discarded).
+    pub fn set_reg(&mut self, r: RegRef, v: u64) {
+        match r {
+            RegRef::Int(reg) => self.set_int_reg(reg, v),
+            RegRef::Fp(f) => self.set_fp_reg(f, v),
+            RegRef::Cc => self.cc = v,
+        }
     }
 
     /// Serializes the full architectural state.

@@ -23,6 +23,13 @@
 //! — instead of the whole ROB. Both sets, the counts and the lists are
 //! derived state: [`Cpu::restore_state`] rebuilds them from the ROB, and
 //! debug builds check them against that derivation after every tick.
+//!
+//! Register-only loops in steady state are skipped whole periods at a
+//! time (see the `loops` module): [`Cpu::skip_loop`] proves that the
+//! pipeline's state repeats and that every branch keeps its predicted
+//! path, then shifts the core forward by whole periods exactly.
+
+mod loops;
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -61,6 +68,62 @@ fn cond_holds(cond: Cond, flags: u64) -> bool {
         Cond::Lt => flags & FLAG_LT != 0,
         Cond::Ge => flags & FLAG_LT == 0,
         Cond::Always => true,
+    }
+}
+
+/// The result of a register instruction (`IntAlu`, `FpAlu`, `Branch` or
+/// `Nop`) at `pc`, given operand `i` in [`Inst::uses_into`] order: an ALU
+/// result, condition flags, a branch's resolved next pc, or 0 for a
+/// `nop`. The one definition of register semantics, shared by the execute
+/// stage and the loop-skip path proof.
+#[inline]
+fn eval(inst: &Inst, pc: usize, program: &Program, op: impl Fn(usize) -> u64) -> u64 {
+    match *inst {
+        Inst::Alu { op: alu, b, .. } => {
+            let bv = match b {
+                Operand::Imm(i) => i as u64,
+                Operand::Reg(_) => op(1),
+            };
+            alu.apply(op(0), bv)
+        }
+        Inst::Movi { imm, .. } => imm as u64,
+        Inst::Fpu { op: fpu, .. } => fpu.apply(op(0), op(1)),
+        Inst::FMovi { bits, .. } => bits,
+        Inst::Cmp { b, .. } => {
+            let bv = match b {
+                Operand::Imm(i) => i as u64,
+                Operand::Reg(_) => op(1),
+            };
+            flags_of(op(0), bv)
+        }
+        Inst::Branch { cond, .. } => {
+            let flags = if cond == Cond::Always { 0 } else { op(0) };
+            let next = if cond_holds(cond, flags) {
+                program.branch_target(inst)
+            } else {
+                pc + 1
+            };
+            next as u64
+        }
+        Inst::Nop => 0,
+        ref other => panic!("compute on {other}"),
+    }
+}
+
+/// Static prediction for the instruction fetched at `pc`: backward and
+/// unconditional branches taken, forward branches not taken.
+#[inline]
+fn predict_next(program: &Program, pc: usize, inst: &Inst) -> usize {
+    match *inst {
+        Inst::Branch { cond, .. } => {
+            let target = program.branch_target(inst);
+            if cond == Cond::Always || target <= pc {
+                target
+            } else {
+                pc + 1
+            }
+        }
+        _ => pc + 1,
     }
 }
 
@@ -650,6 +713,11 @@ pub struct Cpu {
     /// `true` if the most recent tick dispatched or issued an instruction
     /// (see [`Cpu::last_tick_issued`]).
     issued: bool,
+    /// Pc of the last taken backward branch retired since the last
+    /// [`Cpu::skip_loop`] probe: the trigger for the next one.
+    back_edge: Option<usize>,
+    /// Steady-state loop detector (derived state, never serialized).
+    loops: loops::LoopDetector,
 }
 
 impl Cpu {
@@ -685,6 +753,8 @@ impl Cpu {
             uncached_stall_start: None,
             membar_stall_start: None,
             issued: false,
+            back_edge: None,
+            loops: loops::LoopDetector::default(),
         }
     }
 
@@ -722,6 +792,8 @@ impl Cpu {
         self.uncached_stall_start = None;
         self.membar_stall_start = None;
         self.issued = false;
+        self.back_edge = None;
+        self.loops.reset();
     }
 
     /// Serializes the core's complete microarchitectural state: committed
@@ -938,6 +1010,11 @@ impl Cpu {
         for _ in 0..nmarks {
             let id = r.take_u32()?;
             let len = r.take_usize()?;
+            if len > r.remaining() / 8 {
+                return Err(csb_snap::SnapshotError::Corrupt(format!(
+                    "mark {id}: {len} cycles exceed the frame"
+                )));
+            }
             let mut cycles = Vec::with_capacity(len);
             for _ in 0..len {
                 cycles.push(r.take_u64()?);
@@ -952,6 +1029,8 @@ impl Cpu {
         self.uncached_stall_start = r.take_opt_u64()?;
         self.membar_stall_start = r.take_opt_u64()?;
         self.issued = r.take_bool()?;
+        self.back_edge = None;
+        self.loops.reset();
         self.check_restored_rob()?;
         self.rebuild_sched();
         Ok(())
@@ -1110,6 +1189,8 @@ impl Cpu {
     /// the `rob_uncached_stall_run` and `membar_stall_run` histograms.
     pub fn set_metrics(&mut self, metrics: MetricsRegistry) {
         self.metrics = metrics;
+        // Retire cycles are only logged while metrics record.
+        self.loops.reset();
     }
 
     /// Starts recording one [`InstTrace`] per instruction that leaves the
@@ -1223,6 +1304,8 @@ impl Cpu {
         self.fetch_pc = self.ctx.pc();
         self.fetch_stopped = false;
         self.halted = false;
+        self.back_edge = None;
+        self.loops.reset();
         old
     }
 
@@ -1542,14 +1625,6 @@ impl Cpu {
         self.stats.cycles = to;
     }
 
-    fn arch_value(&self, r: RegRef) -> u64 {
-        match r {
-            RegRef::Int(reg) => self.ctx.int_reg(reg),
-            RegRef::Fp(f) => self.ctx.fp_reg(f),
-            RegRef::Cc => self.ctx.cc(),
-        }
-    }
-
     /// Rewrites every operand of `rob[idx]` to its value. The entry has
     /// no pending operand, so each producer it names has either retired
     /// (its value is architectural) or is `Done`.
@@ -1560,7 +1635,7 @@ impl Cpu {
             let op = self.rob[idx].ops.slots[i];
             if let Src::Wait(seq) = op.src {
                 let v = if seq < front {
-                    self.arch_value(op.reg)
+                    self.ctx.reg(op.reg)
                 } else {
                     self.rob[(seq - front) as usize].value
                 };
@@ -1708,6 +1783,8 @@ impl Cpu {
                 self.rename.insert(d, e.seq);
             }
         }
+        // A recorded period must be free of mispredictions.
+        self.loops.clear_history();
     }
 
     // ------------------------------------------------------------------
@@ -1903,25 +1980,28 @@ impl Cpu {
 
         // Architectural register update.
         if let Some(d) = e.inst.def() {
-            match d {
-                RegRef::Int(r) => self.ctx.set_int_reg(r, e.value),
-                RegRef::Fp(r) => self.ctx.set_fp_reg(r, e.value),
-                RegRef::Cc => self.ctx.set_cc(e.value),
-            }
+            self.ctx.set_reg(d, e.value);
             self.rename.remove_if(d, e.seq);
         }
 
         // Committed pc.
         let next_pc = if e.inst.kind() == InstKind::Branch {
-            e.value as usize
+            let next = e.value as usize;
+            if next <= e.pc {
+                self.back_edge = Some(e.pc);
+            }
+            next
         } else {
             e.pc + 1
         };
         self.ctx.set_pc(next_pc);
 
         // Bookkeeping.
+        if self.metrics.is_enabled() {
+            self.loops.note_retire(self.stats.retired, now);
+            self.metrics.timeline_mark(now, TimelineEvent::Retired);
+        }
         self.stats.retired += 1;
-        self.metrics.timeline_mark(now, TimelineEvent::Retired);
         match e.inst.kind() {
             InstKind::Load => {
                 self.stats.loads += 1;
@@ -2066,38 +2146,7 @@ impl Cpu {
 
     /// Computes the result of a ready ALU/branch instruction.
     fn compute(&self, e: &RobEntry) -> u64 {
-        match e.inst {
-            Inst::Alu { op, a: _, b, .. } => {
-                let av = e.op_val(0);
-                let bv = match b {
-                    Operand::Imm(i) => i as u64,
-                    Operand::Reg(_) => e.op_val(1),
-                };
-                op.apply(av, bv)
-            }
-            Inst::Movi { imm, .. } => imm as u64,
-            Inst::Fpu { op, .. } => op.apply(e.op_val(0), e.op_val(1)),
-            Inst::FMovi { bits, .. } => bits,
-            Inst::Cmp { b, .. } => {
-                let av = e.op_val(0);
-                let bv = match b {
-                    Operand::Imm(i) => i as u64,
-                    Operand::Reg(_) => e.op_val(1),
-                };
-                flags_of(av, bv)
-            }
-            Inst::Branch { cond, .. } => {
-                let flags = if cond == Cond::Always { 0 } else { e.op_val(0) };
-                let taken = cond_holds(cond, flags);
-                let next = if taken {
-                    self.program.branch_target(&e.inst)
-                } else {
-                    e.pc + 1
-                };
-                next as u64
-            }
-            ref other => panic!("compute on {other}"),
-        }
+        eval(&e.inst, e.pc, &self.program, |i| e.op_val(i))
     }
 
     // ------------------------------------------------------------------
@@ -2131,7 +2180,7 @@ impl Cpu {
                             Src::Wait(pseq)
                         }
                     }
-                    None => Src::Ready(self.arch_value(reg)),
+                    None => Src::Ready(self.ctx.reg(reg)),
                 };
                 ops.push(OperandSlot { reg, src });
             }
@@ -2183,17 +2232,7 @@ impl Cpu {
                 self.fetch_stopped = true;
                 break;
             };
-            let predicted_next = match inst {
-                Inst::Branch { cond, .. } => {
-                    let target = self.program.branch_target(&inst);
-                    if cond == Cond::Always || target <= self.fetch_pc {
-                        target
-                    } else {
-                        self.fetch_pc + 1
-                    }
-                }
-                _ => self.fetch_pc + 1,
-            };
+            let predicted_next = predict_next(&self.program, self.fetch_pc, &inst);
             self.fetch_q.push_back(Fetched {
                 pc: self.fetch_pc,
                 inst,

@@ -782,3 +782,95 @@ fn restore_rejects_unfollowable_rob() {
         ));
     }
 }
+
+#[test]
+fn restore_rejects_mark_count_beyond_the_frame() {
+    let mut a = Assembler::new();
+    a.halt();
+    let program = a.assemble().unwrap();
+    let mut cpu = Cpu::new(CpuConfig::default(), program.clone());
+    cpu.stats.marks.insert(3, vec![5]);
+    let mut w = csb_snap::SnapshotWriter::new();
+    cpu.save_state(&mut w);
+    let mut bytes = w.finish();
+    // Frame tail: mark 3's length and one cycle, the trace flag, two empty
+    // stall-run starts, the issued flag, then the checksum.
+    let at = bytes.len() - 8 - 4 - 8 - 8;
+    assert_eq!(bytes[at..at + 8], 1u64.to_le_bytes());
+    bytes[at..at + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+    let restored = Cpu::new(CpuConfig::default(), program)
+        .restore_state(&mut csb_snap::SnapshotReader::new(&bytes));
+    assert!(matches!(restored, Err(csb_snap::SnapshotError::Corrupt(_))));
+}
+
+/// Runs `program` to halt on a fresh core with the pipeline trace and
+/// metrics on, probing [`Cpu::skip_loop`] between ticks when `skip`;
+/// returns the core and the number of jumps taken.
+fn run_skipping(program: &Program, cfg: CpuConfig, skip: bool) -> (Cpu, MetricsRegistry, u64) {
+    let mut cpu = Cpu::new(cfg, program.clone());
+    let metrics = MetricsRegistry::enabled();
+    cpu.set_metrics(metrics.clone());
+    cpu.enable_trace();
+    let mut port = SimpleMemPort::new();
+    let mut jumps = 0;
+    while !cpu.halted() {
+        assert!(cpu.now() < 1_000_000, "program must halt");
+        if skip && cpu.skip_loop(u64::MAX).is_some() {
+            jumps += 1;
+            continue;
+        }
+        cpu.tick(&mut port);
+    }
+    (cpu, metrics, jumps)
+}
+
+#[test]
+fn loop_skip_matches_ticking() {
+    // A delay loop with an FP chain and a never-taken inner branch, on
+    // several machine widths: skipping whole periods must leave exactly
+    // the state, counters, timeline and pipeline trace that ticking does.
+    let mut a = Assembler::new();
+    let (top, skip) = (a.new_label(), a.new_label());
+    a.movi(Reg::L0, 3_000);
+    a.fmovi(FReg::new(1), 1.25f64.to_bits());
+    a.bind(top).unwrap();
+    a.fpu(
+        csb_isa::FpuOp::FMul,
+        FReg::new(2),
+        FReg::new(2),
+        FReg::new(1),
+    );
+    a.alu(AluOp::Xor, Reg::L1, Reg::L1, Reg::L0);
+    a.cmpi(Reg::L1, -1);
+    a.bz(skip);
+    a.alui(AluOp::Add, Reg::L2, Reg::L2, 3);
+    a.bind(skip).unwrap();
+    a.alui(AluOp::Sub, Reg::L0, Reg::L0, 1);
+    a.cmpi(Reg::L0, 0);
+    a.bnz(top);
+    a.halt();
+    let program = a.assemble().unwrap();
+    for width in [1, 2, 4, 8] {
+        let cfg = CpuConfig::superscalar(width);
+        let (naive, naive_metrics, _) = run_skipping(&program, cfg, false);
+        let (skipped, skipped_metrics, jumps) = run_skipping(&program, cfg, true);
+        assert!(jumps > 0, "width {width}: the loop must be skipped");
+        let frame = |c: &Cpu| {
+            let mut w = csb_snap::SnapshotWriter::new();
+            c.save_state(&mut w);
+            w.finish()
+        };
+        assert_eq!(frame(&skipped), frame(&naive), "width {width}: core state");
+        assert_eq!(skipped.stats(), naive.stats(), "width {width}: counters");
+        assert_eq!(
+            skipped.trace(),
+            naive.trace(),
+            "width {width}: pipeline trace"
+        );
+        assert_eq!(
+            skipped_metrics.snapshot(),
+            naive_metrics.snapshot(),
+            "width {width}: metrics timeline"
+        );
+    }
+}

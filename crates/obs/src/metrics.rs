@@ -330,6 +330,14 @@ impl MetricsRegistry {
         }
     }
 
+    /// [`MetricsRegistry::timeline_mark`] for every cycle in `cycles`,
+    /// under one borrow (bulk replay of skipped work).
+    pub fn timeline_mark_all(&self, cycles: impl IntoIterator<Item = u64>, event: TimelineEvent) {
+        if let Some(i) = &self.inner {
+            i.borrow_mut().timeline.record_all(cycles, event);
+        }
+    }
+
     /// The named counter's current value (0 if absent or disabled).
     pub fn counter(&self, name: &str) -> u64 {
         self.inner

@@ -55,6 +55,23 @@ impl WindowStats {
     fn is_zero(&self) -> bool {
         *self == WindowStats::default()
     }
+
+    fn add_event(&mut self, event: TimelineEvent) {
+        match event {
+            TimelineEvent::BusTxn {
+                busy_cycles,
+                payload,
+            } => {
+                self.bus_txns += 1;
+                self.bus_busy_cycles += busy_cycles;
+                self.bus_payload_bytes += payload;
+            }
+            TimelineEvent::FlushSuccess => self.flush_successes += 1,
+            TimelineEvent::FlushFailure => self.flush_failures += 1,
+            TimelineEvent::Fault => self.faults += 1,
+            TimelineEvent::Retired => self.retired += 1,
+        }
+    }
 }
 
 /// One timeline sample: what happened, to be accumulated into the window
@@ -104,6 +121,28 @@ impl Timeline {
     /// Accumulates `event` into the window covering `cycle`, coarsening
     /// first if `cycle` lies beyond the fixed capacity.
     pub fn record(&mut self, cycle: u64, event: TimelineEvent) {
+        let idx = self.window_of(cycle);
+        self.windows[idx].add_event(event);
+    }
+
+    /// [`Timeline::record`] for every cycle in `cycles`, locating the
+    /// window only when a cycle leaves the previous one.
+    pub fn record_all(&mut self, cycles: impl IntoIterator<Item = u64>, event: TimelineEvent) {
+        let mut span = 0..0;
+        let mut idx = 0;
+        for cycle in cycles {
+            if !span.contains(&cycle) {
+                idx = self.window_of(cycle);
+                let start = idx as u64 * self.window_cycles;
+                span = start..start + self.window_cycles;
+            }
+            self.windows[idx].add_event(event);
+        }
+    }
+
+    /// Index of the window covering `cycle`, coarsening and growing the
+    /// window list as needed.
+    fn window_of(&mut self, cycle: u64) -> usize {
         while cycle / self.window_cycles >= TIMELINE_WINDOWS as u64 {
             self.coarsen();
         }
@@ -111,21 +150,7 @@ impl Timeline {
         if self.windows.len() <= idx {
             self.windows.resize(idx + 1, WindowStats::default());
         }
-        let w = &mut self.windows[idx];
-        match event {
-            TimelineEvent::BusTxn {
-                busy_cycles,
-                payload,
-            } => {
-                w.bus_txns += 1;
-                w.bus_busy_cycles += busy_cycles;
-                w.bus_payload_bytes += payload;
-            }
-            TimelineEvent::FlushSuccess => w.flush_successes += 1,
-            TimelineEvent::FlushFailure => w.flush_failures += 1,
-            TimelineEvent::Fault => w.faults += 1,
-            TimelineEvent::Retired => w.retired += 1,
-        }
+        idx
     }
 
     /// Doubles the window width, folding adjacent window pairs together.
@@ -269,6 +294,25 @@ mod tests {
         assert_eq!(totals.bus_payload_bytes, 64_000);
         assert_eq!(totals.retired, 1000);
         assert_eq!(totals.faults, 1);
+    }
+
+    #[test]
+    fn bulk_record_matches_one_by_one_across_coarsenings() {
+        // Out-of-order runs that cross window edges and force coarsening
+        // mid-batch.
+        let span = TIMELINE_BASE_WINDOW * TIMELINE_WINDOWS as u64;
+        let cycles: Vec<u64> = (0..3_000u64)
+            .map(|i| (i * 1_237) % (3 * span))
+            .chain([5, span * 7, 17])
+            .collect();
+        let (mut one, mut bulk) = (Timeline::default(), Timeline::default());
+        one.record(100, TimelineEvent::Fault);
+        bulk.record(100, TimelineEvent::Fault);
+        for &c in &cycles {
+            one.record(c, TimelineEvent::Retired);
+        }
+        bulk.record_all(cycles, TimelineEvent::Retired);
+        assert_eq!(bulk.snapshot(), one.snapshot());
     }
 
     #[test]

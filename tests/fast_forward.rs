@@ -74,7 +74,30 @@ fn assert_differential_with(
         naive.metrics_snapshot(),
         "metrics snapshots must match"
     );
+    assert_eq!(
+        cpu_frame(&ff),
+        cpu_frame(&naive),
+        "CPU state (registers, ROB, counters) must be byte-identical"
+    );
+    assert_eq!(
+        ff.device().writes(),
+        naive.device().writes(),
+        "device write logs must match"
+    );
+    assert_eq!(
+        ff.nic().map(|n| n.messages().to_vec()),
+        naive.nic().map(|n| n.messages().to_vec()),
+        "NIC message logs must match"
+    );
     (a_sum.cycles, ff.ticks(), naive.ticks())
+}
+
+/// The core's serialized state: committed registers, every in-flight ROB
+/// entry with its operand values, and the counters.
+fn cpu_frame(sim: &Simulator) -> Vec<u8> {
+    let mut w = csb_snap::SnapshotWriter::new();
+    sim.cpu().save_state(&mut w);
+    w.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -597,5 +620,215 @@ proptest! {
         let mix = workloads::RandomMix { ops: 80, mem_percent: 70 };
         let program = workloads::random_mixed(seed, mix, &cfg).unwrap();
         assert_differential(&cfg, &program, 50_000_000);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Steady-state loop skipping.
+// ---------------------------------------------------------------------
+
+/// One random body instruction of [`spin_program`]: `(kind, a, b, imm)`.
+type BodyOp = (u8, u8, u8, i64);
+
+/// A register-only loop of `trips` iterations around `body`, between an
+/// uncached store stream (still draining on the bus while the loop
+/// spins) and uncached stores of the loop's results (so the device log
+/// sees the computed values).
+///
+/// Body kinds: integer ALU (register or immediate operand), FP ALU,
+/// `nop`, and forward branches over the next one or two instructions —
+/// tested either on a data register (rarely taken) or on the trip counter
+/// (taken exactly once, in mid-loop).
+fn spin_program(body: &[BodyOp], trips: u32, stores: usize) -> Program {
+    use csb_isa::{AluOp, Assembler, FReg, FpuOp, Reg};
+    const ALU: [AluOp; 7] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Sll,
+        AluOp::Srl,
+    ];
+    const FPU: [FpuOp; 3] = [FpuOp::FAdd, FpuOp::FSub, FpuOp::FMul];
+    // %l1..%l5, plus %g0 as a destination that discards.
+    let reg = |x: u8| Reg::new(17 + x % 5);
+    let dst = |x: u8| if x % 7 == 6 { Reg::G0 } else { reg(x) };
+    let freg = |x: u8| FReg::new(x % 4);
+    let mut a = Assembler::new();
+    a.movi(Reg::O1, csb_core::UNCACHED_BASE as i64);
+    for i in 0..5u8 {
+        a.movi(reg(i), 0x1234_5678 * (i64::from(i) + 1));
+    }
+    for i in 0..4u8 {
+        a.fmovi(freg(i), (1.5 + f64::from(i)).to_bits());
+    }
+    for i in 0..stores {
+        a.std(reg(i as u8), Reg::O1, 8 * i as i64);
+    }
+    let (top, check) = (a.new_label(), a.new_label());
+    a.movi(Reg::L0, i64::from(trips));
+    a.ba(check);
+    a.bind(top).unwrap();
+    let mut pending: Vec<(csb_isa::Label, usize)> = Vec::new();
+    for &(kind, x, y, imm) in body {
+        match kind % 6 {
+            0 => {
+                a.alu(ALU[x as usize % 7], dst(x), reg(y), reg(x ^ y));
+            }
+            1 => {
+                a.alui(ALU[y as usize % 7], dst(y), reg(x), imm);
+            }
+            2 => {
+                a.fpu(FPU[x as usize % 3], freg(x), freg(y), freg(x ^ y));
+            }
+            3 => {
+                a.nop();
+            }
+            k => {
+                let skip = a.new_label();
+                if k == 4 {
+                    a.cmpi(reg(x), imm.rem_euclid(4));
+                } else {
+                    a.cmpi(Reg::L0, imm.rem_euclid(i64::from(trips) + 1));
+                }
+                if y % 2 == 0 {
+                    a.bz(skip);
+                } else {
+                    a.bnz(skip);
+                }
+                pending.push((skip, 1 + usize::from(y % 4 == 0)));
+                continue;
+            }
+        }
+        pending.retain_mut(|(label, left)| {
+            *left -= 1;
+            if *left == 0 {
+                a.bind(*label).unwrap();
+            }
+            *left > 0
+        });
+    }
+    for (label, _) in pending {
+        a.bind(label).unwrap();
+    }
+    a.alui(AluOp::Sub, Reg::L0, Reg::L0, 1);
+    a.bind(check).unwrap();
+    a.cmpi(Reg::L0, 0);
+    a.bnz(top);
+    for i in 0..5u8 {
+        a.std(reg(i), Reg::O1, 0x100 + 8 * i64::from(i));
+    }
+    a.halt();
+    a.assemble().unwrap()
+}
+
+/// A plain delay loop (`sub; cmp; bnz`) of `trips` iterations behind an
+/// eight-dword uncached stream.
+fn delay_program(trips: u32) -> Program {
+    spin_program(&[], trips, 8)
+}
+
+#[test]
+fn delay_loop_is_skipped_in_few_ticks() {
+    let cfg = SimConfig::default();
+    let (cycles, ff_ticks, naive_ticks) =
+        assert_differential(&cfg, &delay_program(5_000), 50_000_000);
+    assert_eq!(naive_ticks, cycles);
+    assert!(cycles > 7_000, "the loop spins ({cycles} cycles)");
+    assert!(
+        ff_ticks * 20 < cycles,
+        "a steady delay loop must be jumped, not ticked ({ff_ticks} ticks of {cycles})"
+    );
+}
+
+#[test]
+fn cpu_frames_match_inside_skipped_spans() {
+    // Run both loops to cycles the fast-forward path jumps over (the
+    // jump is capped at each stop, then ticked up to it): the core's
+    // whole state — committed registers, in-flight operand values and
+    // results, sequence numbers, timestamps — must be byte-identical.
+    let cfg = SimConfig::default();
+    let body = [(1, 0, 1, 3), (2, 1, 2, 0), (0, 2, 3, 0), (4, 3, 0, 9)];
+    let program = spin_program(&body, 2_000, 8);
+    let mut ff = Simulator::new(cfg.clone(), program.clone()).unwrap();
+    ff.set_fast_forward(true);
+    let mut naive = Simulator::new(cfg, program).unwrap();
+    naive.set_fast_forward(false);
+    for stop in [90, 140, 141, 1_000, 4_321, 9_999, 12_000] {
+        ff.run_to(stop).unwrap();
+        naive.run_to(stop).unwrap();
+        assert_eq!(ff.cpu().now(), naive.cpu().now());
+        assert_eq!(
+            cpu_frame(&ff),
+            cpu_frame(&naive),
+            "CPU frame at cycle {stop}"
+        );
+    }
+    assert!(ff.ticks() * 4 < naive.ticks(), "the loop was skipped");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random register-only loops — integer and FP bodies with inner
+    /// forward branches, trip counts up to 5000 (exits inside the ROB
+    /// window included) — beside a draining uncached stream under seeded
+    /// bus errors and device NACKs: the fast-forward path must match the
+    /// naive loop on every observable, the CPU frame included.
+    #[test]
+    fn differential_random_spin_loops(
+        body in proptest::collection::vec((0u8..6, any::<u8>(), any::<u8>(), -8i64..64), 1..=12),
+        trips in prop_oneof![0u32..40, 0u32..=5_000],
+        stores in 0usize..24,
+        ratio in 1u64..8,
+        width in prop_oneof![Just(1usize), Just(2), Just(4), Just(8)],
+        seed in any::<u64>(),
+        rate_pct in 0u32..30,
+    ) {
+        let cfg = SimConfig::default()
+            .frequency_ratio(ratio)
+            .cpu(csb_cpu::CpuConfig::superscalar(width));
+        let program = spin_program(&body, trips, stores);
+        let rate = f64::from(rate_pct) / 100.0;
+        let (cycles, ff_ticks, naive_ticks) =
+            assert_differential_with(&cfg, &program, 5_000_000, |sim| {
+                sim.set_faults(Some(
+                    FaultConfig::new(seed)
+                        .bus_error_rate(rate * 0.5)
+                        .device_nack_rate(rate)
+                        .max_consecutive(8),
+                ));
+            });
+        prop_assert_eq!(naive_ticks, cycles);
+        prop_assert!(ff_ticks <= naive_ticks);
+    }
+
+    /// The same loops time-sliced between two processes: slice ends cap
+    /// every jump, and each switch squashes the pipeline mid-loop.
+    #[test]
+    fn differential_spin_loops_under_slicing(
+        body in proptest::collection::vec((0u8..6, any::<u8>(), any::<u8>(), -8i64..64), 1..=8),
+        trips in 0u32..=3_000,
+        slice in 20u64..400,
+    ) {
+        let cfg = SimConfig::default();
+        let programs = vec![
+            spin_program(&body, trips, 4),
+            delay_program(trips / 2 + 1),
+        ];
+        let policy = SwitchPolicy::Fixed(slice);
+        let mut ff = MultiSim::new(cfg.clone(), programs.clone(), policy).unwrap();
+        ff.set_fast_forward(true);
+        let mut naive = MultiSim::new(cfg, programs, policy).unwrap();
+        naive.set_fast_forward(false);
+        let a = ff.run(10_000_000).unwrap();
+        let b = naive.run(10_000_000).unwrap();
+        prop_assert_eq!(
+            serde_json::to_string(&a).unwrap(),
+            serde_json::to_string(&b).unwrap()
+        );
+        prop_assert_eq!(cpu_frame(ff.simulator()), cpu_frame(naive.simulator()));
+        prop_assert_eq!(ff.simulator().device().writes(), naive.simulator().device().writes());
     }
 }

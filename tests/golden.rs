@@ -196,33 +196,68 @@ fn render_timing(out: &mut String, traces: &[InstTrace]) {
     }
 }
 
+/// A software-retry backoff delay: an uncached store stream, then
+/// `sub; cmp; bnz` spinning 150 times while the stores drain, then a
+/// store of the counter.
+fn delay_loop_program() -> Program {
+    let mut a = Assembler::new();
+    a.movi(Reg::O1, UNCACHED_BASE as i64);
+    for i in 0..6 {
+        a.std(Reg::O1, Reg::O1, 8 * i);
+    }
+    let spin = a.new_label();
+    a.movi(Reg::L0, 150);
+    a.bind(spin).expect("fresh label");
+    a.alui(AluOp::Sub, Reg::L0, Reg::L0, 1);
+    a.cmpi(Reg::L0, 0);
+    a.bnz(spin);
+    a.std(Reg::L0, Reg::O1, 0x40);
+    a.halt();
+    a.assemble().expect("delay loop assembles")
+}
+
+/// Runs `program` at `width` with the pipeline trace on; returns the
+/// rendered timing (headed by `label`) and the real ticks taken.
+fn timing_of(label: &str, program: &Program, width: usize, fast_forward: bool) -> (String, u64) {
+    let cfg = SimConfig::default().cpu(CpuConfig::superscalar(width));
+    let mut sim = Simulator::new(cfg, program.clone()).expect("config valid");
+    sim.set_fast_forward(fast_forward);
+    sim.cpu_mut().enable_trace();
+    let summary = sim.run(1_000_000).expect("timing program halts");
+    let mut text = format!(
+        "# {label} width {width} cycles {} retired {} squashed {}\n",
+        summary.cycles, summary.cpu.retired, summary.cpu.squashed
+    );
+    render_timing(&mut text, sim.cpu().trace());
+    (text, sim.ticks())
+}
+
 /// Cycle-exact pipeline timing: every instruction's fetch, dispatch,
-/// issue, complete and retire cycle on seeded programs at widths 1, 2, 4
-/// and 8 (ROB 16 to 128), identical with fast-forward on and off.
-/// Scheduler changes must reproduce it exactly.
+/// issue, complete and retire cycle on seeded programs and a backoff
+/// delay loop at widths 1, 2, 4 and 8 (ROB 16 to 128), identical with
+/// fast-forward on and off. On the delay loop the fast-forward path
+/// jumps whole loop periods, replaying their trace records. Scheduler
+/// changes must reproduce it exactly.
 #[test]
 fn pipeline_timing_matches_golden() {
     let mut out = String::new();
-    for seed in 1..=4 {
-        let program = timing_program(seed);
+    let programs = (1..=4)
+        .map(|seed| (format!("seed {seed}"), timing_program(seed)))
+        .chain([("delay loop".to_string(), delay_loop_program())]);
+    for (label, program) in programs {
         for width in [1, 2, 4, 8] {
-            let [naive, ff] = [false, true].map(|fast_forward| {
-                let cfg = SimConfig::default().cpu(CpuConfig::superscalar(width));
-                let mut sim = Simulator::new(cfg, program.clone()).expect("config valid");
-                sim.set_fast_forward(fast_forward);
-                sim.cpu_mut().enable_trace();
-                let summary = sim.run(1_000_000).expect("timing program halts");
-                let mut text = format!(
-                    "# seed {seed} width {width} cycles {} retired {} squashed {}\n",
-                    summary.cycles, summary.cpu.retired, summary.cpu.squashed
-                );
-                render_timing(&mut text, sim.cpu().trace());
-                text
-            });
+            let (naive, naive_ticks) = timing_of(&label, &program, width, false);
+            let (ff, ff_ticks) = timing_of(&label, &program, width, true);
             assert_eq!(
                 naive, ff,
-                "seed {seed} width {width}: fast-forward moved a cycle"
+                "{label} width {width}: fast-forward moved a cycle"
             );
+            if label == "delay loop" {
+                assert!(
+                    ff_ticks < naive_ticks,
+                    "width {width}: the delay loop must be skipped ({ff_ticks} of {naive_ticks} ticks)"
+                );
+            }
             out.push_str(&ff);
         }
     }

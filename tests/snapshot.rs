@@ -295,6 +295,54 @@ fn snapshot_respects_watchdog_state() {
     }
 }
 
+/// Sixteen uncached stores (still draining while the loop spins), a
+/// `trips`-iteration delay loop, and a store of the loop counter.
+fn delay_loop_program(trips: i64) -> Program {
+    use csb_isa::{AluOp, Assembler, Reg};
+    let mut a = Assembler::new();
+    a.movi(Reg::O1, csb_core::UNCACHED_BASE as i64);
+    for i in 0..16 {
+        a.std(Reg::O1, Reg::O1, 8 * i);
+    }
+    let spin = a.new_label();
+    a.movi(Reg::L0, trips);
+    a.bind(spin).unwrap();
+    a.alui(AluOp::Sub, Reg::L0, Reg::L0, 1);
+    a.cmpi(Reg::L0, 0);
+    a.bnz(spin);
+    a.std(Reg::L0, Reg::O1, 0x100);
+    a.halt();
+    a.assemble().unwrap()
+}
+
+#[test]
+fn snapshot_restore_inside_skipped_loop_span() {
+    // Snapshot cycles inside a steady delay loop, which the fast-forward
+    // path jumps over whole periods at a time (the snapshot caps the jump
+    // and ticks up to the cycle), with bus errors and NACKs on the drain.
+    let cfg = SimConfig::default();
+    let program = delay_loop_program(4_000);
+    let faults = Some(
+        FaultConfig::new(9)
+            .device_nack_rate(0.3)
+            .bus_error_rate(0.1),
+    );
+    let mut sim = Simulator::new(cfg.clone(), program.clone()).unwrap();
+    sim.set_fast_forward(true);
+    sim.set_faults(faults);
+    let cycles = sim.run(LIMIT).unwrap().cycles;
+    assert!(
+        sim.ticks() * 10 < cycles,
+        "the loop is skipped ({} ticks of {cycles})",
+        sim.ticks()
+    );
+    for &snap_at in &[150, 2_000, 3_001, 5_555] {
+        for ff in [false, true] {
+            assert_snapshot_differential(&cfg, &program, snap_at, ff, faults);
+        }
+    }
+}
+
 #[test]
 fn snapshot_restore_with_attached_nic() {
     // The NIC attachment — window base, configuration, per-slot in-flight
