@@ -1,49 +1,53 @@
-//! Engine throughput benchmarks: serial vs. parallel execution of one
-//! Figure 3 panel through the experiment runner, plus the naive-loop vs.
-//! fast-forward simulated-cycles-per-second sweep.
+//! Engine throughput benchmarks: one Figure 3 panel through the sweep
+//! engine at 1, 2 and 4 workers, plus the naive-loop vs. fast-forward
+//! simulated-cycles-per-second sweep.
 //!
-//! Run with `cargo bench -p csb-bench --bench runner_bench`; the parallel
-//! numbers are recorded in EXPERIMENTS.md, and the fast-forward sweep is
-//! written to `BENCH_sim_throughput.json` in the workspace root (the
-//! checked-in copy at the repo root is regenerated this way; CI's
-//! perf-smoke job gates on the Figure 5(b) and long-CSB-point tick ratios,
-//! `sim_cycles / ff_ticks`, and on the scheduler point's speedup in it).
+//! Run with `cargo bench -p csb-bench --bench runner_bench`. The panel
+//! legs print the best-of-N sweep wall time per worker count to stderr;
+//! the fast-forward sweep is written to `BENCH_sim_throughput.json` in the
+//! workspace root (the checked-in copy at the repo root is regenerated
+//! this way; CI's perf-smoke job gates on the Figure 5(b) and
+//! long-CSB-point tick ratios, `sim_cycles / ff_ticks`, and on the
+//! scheduler point's speedup in it).
 //!
-//! `-- --samples N` overrides the wall-clock samples taken per sweep leg
-//! and `-- --reps N` the executions batched inside each timed sample;
-//! both default to the values the checked-in JSON was generated with.
+//! `-- --samples N` overrides the wall-clock samples taken per leg and
+//! `-- --reps N` the executions batched inside each timed sample of the
+//! fast-forward sweep; both default to the values the checked-in JSON was
+//! generated with.
 
-use criterion::{BenchmarkId, Criterion};
-use csb_core::experiments::runner::run_bandwidth_panels;
+use std::time::{Duration, Instant};
+
+use csb_core::experiments::runner::{run_panels, RunCtx};
 use csb_core::experiments::{fig3, throughput};
 
-fn bench_runner(c: &mut Criterion) {
-    let mut group = c.benchmark_group("runner");
-    group.sample_size(10);
-
-    // Panel 3e: the default machine (64-byte line, ratio 6) — 7 transfer
-    // sizes × 5 schemes = 35 independent simulation points. `jobs1` is the
-    // serial baseline; the speedup of the other legs tracks the host's
-    // core count (on a single-core host they only measure pool overhead).
-    let spec = fig3::PANELS[4].spec();
-    let specs = std::slice::from_ref(&spec);
-
+/// Times panel 3e — the default machine (64-byte line, ratio 6), 7
+/// transfer sizes × 5 schemes = 35 independent points — through the sweep
+/// engine at each worker count and prints the best wall time of
+/// `samples` sweeps (after one warmup). `jobs1` is the serial baseline;
+/// the speedup of the other legs tracks the host's core count (on a
+/// single-core host they only measure pool overhead).
+fn bench_runner(samples: usize) {
+    let panel = [fig3::PANELS[4].spec()];
     for jobs in [1usize, 2, 4] {
-        group.bench_function(BenchmarkId::new("fig3e", format!("jobs{jobs}")), |b| {
-            b.iter(|| run_bandwidth_panels(specs, jobs).expect("panel simulates"))
-        });
+        let ctx = RunCtx {
+            jobs,
+            ..RunCtx::default()
+        };
+        let sweep = || {
+            let t0 = Instant::now();
+            run_panels(&panel, &ctx).expect("panel simulates");
+            t0.elapsed()
+        };
+        sweep();
+        let best = (0..samples)
+            .map(|_| sweep())
+            .min()
+            .unwrap_or(Duration::ZERO);
+        eprintln!(
+            "runner/fig3e/jobs{jobs}: best {:.3} ms of {samples} sweep(s)",
+            best.as_secs_f64() * 1e3
+        );
     }
-    group.finish();
-}
-
-/// Runs the criterion group. A hand-rolled driver instead of
-/// `criterion_group!`: the generated runner calls `configure_from_args`,
-/// whose clap parser would reject this harness's own `--reps`/`--samples`
-/// flags (the criterion defaults are what CI and the checked-in numbers
-/// use anyway).
-fn benches() {
-    let mut criterion = Criterion::default();
-    bench_runner(&mut criterion);
 }
 
 /// Wall-clock samples per leg of the fast-forward sweep; the best is
@@ -69,7 +73,7 @@ fn main() {
     let samples = csb_bench::count_from_args("--samples", THROUGHPUT_SAMPLES);
     let reps = csb_bench::count_from_args("--reps", THROUGHPUT_REPS);
 
-    benches();
+    bench_runner(samples);
 
     let report = throughput::measure(samples, reps).expect("throughput points simulate");
     eprint!("{}", report.render());

@@ -11,6 +11,7 @@
 //! and contributes no runner points).
 
 use csb_core::dma::{DmaModel, PioMethod, MESSAGE_SIZES};
+use csb_core::experiments::runner::{LabeledArtifacts, RunReport, SweepOutput};
 use csb_core::experiments::{ablations, format_table};
 use csb_core::SimConfig;
 
@@ -18,18 +19,32 @@ const USAGE: &str = "ablations [--jobs N] [--json out.json] [--trace-out trace.j
 [--metrics-out metrics.json] [--ledger ledger.jsonl] [--no-fast-forward] \
 [--cache-dir DIR] [--no-cache] [--snapshot-every N]";
 
+/// Folds one ablation sweep into the running artifacts and report (the
+/// sweeps run back to back) and returns its rows.
+fn fold<T>(
+    swept: SweepOutput<T>,
+    artifacts: &mut Vec<LabeledArtifacts>,
+    report: &mut RunReport,
+) -> T {
+    artifacts.extend(swept.artifacts);
+    report.merge(&swept.report);
+    swept.result
+}
+
 fn main() {
     csb_bench::validate_standard_args(USAGE);
-    csb_bench::apply_fast_forward_flag();
-    csb_bench::apply_cache_flags();
-    let jobs = csb_bench::jobs_from_args();
     let bo = csb_bench::obs_from_args();
+    let ctx = csb_bench::ctx_from_args(csb_bench::jobs_from_args(), bo.obs);
+
     let mut all_artifacts = Vec::new();
+    let mut report = RunReport::default();
 
     // --- Superscalar width vs. lock overhead --------------------------
-    let (widths, arts, mut report) = ablations::superscalar_widths_jobs_observed(4, jobs, bo.obs)
-        .expect("width ablation simulates");
-    all_artifacts.extend(arts);
+    let widths = fold(
+        ablations::superscalar_widths(4, &ctx).expect("width ablation simulates"),
+        &mut all_artifacts,
+        &mut report,
+    );
     let headers = vec![
         "width".to_string(),
         "lock cycles".to_string(),
@@ -65,24 +80,27 @@ fn main() {
             })
             .collect()
     };
-    let (double, arts, r) = ablations::double_buffered_jobs_observed(jobs, bo.obs)
-        .expect("double-buffer ablation simulates");
-    all_artifacts.extend(arts);
-    report.merge(&r);
+    let double = fold(
+        ablations::double_buffered(&ctx).expect("double-buffer ablation simulates"),
+        &mut all_artifacts,
+        &mut report,
+    );
     println!("Double-buffered CSB (second line buffer, §3.2)");
     println!("{}", format_table(&headers, &render(&double)));
-    let (variable, arts, r) = ablations::variable_burst_jobs_observed(jobs, bo.obs)
-        .expect("variable-burst ablation simulates");
-    all_artifacts.extend(arts);
-    report.merge(&r);
+    let variable = fold(
+        ablations::variable_burst(&ctx).expect("variable-burst ablation simulates"),
+        &mut all_artifacts,
+        &mut report,
+    );
     println!("Variable-burst CSB (multiple burst sizes, §3.2)");
     println!("{}", format_table(&headers, &render(&variable)));
 
     // --- Related-work baselines under store-order pressure --------------
-    let (rows, arts, r) = ablations::related_work_jobs_observed(jobs, bo.obs)
-        .expect("related-work ablation simulates");
-    all_artifacts.extend(arts);
-    report.merge(&r);
+    let rows = fold(
+        ablations::related_work(&ctx).expect("related-work ablation simulates"),
+        &mut all_artifacts,
+        &mut report,
+    );
     let headers = vec![
         "bytes".to_string(),
         "scheme".to_string(),
@@ -104,10 +122,11 @@ fn main() {
     println!("{}", format_table(&headers, &table));
 
     // --- Buffer depth and uncached issue rate ---------------------------
-    let (rows, arts, r) = ablations::buffer_capacity_jobs_observed(jobs, bo.obs)
-        .expect("capacity ablation simulates");
-    all_artifacts.extend(arts);
-    report.merge(&r);
+    let rows = fold(
+        ablations::buffer_capacity(&ctx).expect("capacity ablation simulates"),
+        &mut all_artifacts,
+        &mut report,
+    );
     let headers = vec![
         "entries".to_string(),
         "none B/c".to_string(),
@@ -126,10 +145,11 @@ fn main() {
     println!("Uncached buffer depth vs. bandwidth (1 KiB)");
     println!("{}", format_table(&headers, &table));
 
-    let (rows, arts, r) = ablations::uncached_issue_rate_jobs_observed(jobs, bo.obs)
-        .expect("issue-rate ablation simulates");
-    all_artifacts.extend(arts);
-    report.merge(&r);
+    let rows = fold(
+        ablations::uncached_issue_rate(&ctx).expect("issue-rate ablation simulates"),
+        &mut all_artifacts,
+        &mut report,
+    );
     let headers = vec![
         "uncached/cycle".to_string(),
         "CSB cycles (8 dwords)".to_string(),
@@ -142,10 +162,11 @@ fn main() {
     println!("{}", format_table(&headers, &table));
 
     // --- Loaded bus: turnaround approximation vs. real contention -------
-    let (rows, arts, r) =
-        ablations::loaded_bus_jobs_observed(jobs, bo.obs).expect("loaded-bus ablation simulates");
-    all_artifacts.extend(arts);
-    report.merge(&r);
+    let rows = fold(
+        ablations::loaded_bus(&ctx).expect("loaded-bus ablation simulates"),
+        &mut all_artifacts,
+        &mut report,
+    );
     let headers = vec![
         "scheme".to_string(),
         "idle B/c".to_string(),

@@ -20,24 +20,35 @@ use csb_core::experiments::contend;
 
 const USAGE: &str = "contend [--jobs N] [--json out.json] [--trace-out trace.json] \
 [--metrics-out metrics.json] [--ledger ledger.jsonl] [--no-fast-forward] \
-[--cache-dir DIR] [--no-cache] [--snapshot-every N]";
+[--cache-dir DIR] [--no-cache]";
+
+/// The standard value flags minus `--snapshot-every`: a time-sliced
+/// point runs its machine through `MultiSim`, which takes no periodic
+/// snapshots, so the flag would silently write nothing.
+const VALUE_FLAGS: &[&str] = &[
+    "--jobs",
+    "--json",
+    "--trace-out",
+    "--metrics-out",
+    "--ledger",
+    "--cache-dir",
+];
 
 fn main() {
-    csb_bench::validate_standard_args(USAGE);
-    csb_bench::apply_fast_forward_flag();
-    csb_bench::apply_cache_flags();
+    csb_bench::validate_args(USAGE, VALUE_FLAGS, csb_bench::STANDARD_BARE_FLAGS, 0);
     let jobs = csb_bench::jobs_from_args();
     let max_cores = contend::CORES.iter().copied().max().unwrap_or(1);
     csb_bench::warn_if_oversubscribed(jobs, max_cores);
     let bo = csb_bench::obs_from_args();
-    let (sweep, artifacts, report) =
-        contend::run_jobs_observed(jobs, bo.obs).expect("contention sweep simulates");
-    let mut out = BufWriter::new(std::io::stdout().lock());
-    writeln!(out, "{}", sweep.to_table()).expect("stdout writable");
-    out.flush().expect("stdout flushes");
-    eprintln!("{}", report.render());
-    bo.emit("contend", &artifacts);
+    let ctx = csb_bench::ctx_from_args(jobs, bo.obs);
+    let out = contend::run(&ctx).expect("contention sweep simulates");
+    let sweep = &out.result;
+    let mut stdout = BufWriter::new(std::io::stdout().lock());
+    writeln!(stdout, "{}", sweep.to_table()).expect("stdout writable");
+    stdout.flush().expect("stdout flushes");
+    eprintln!("{}", out.report.render());
+    bo.emit("contend", &out.artifacts);
     if let Some(path) = csb_bench::json_path_from_args() {
-        csb_bench::dump_json(&path, &sweep);
+        csb_bench::dump_json(&path, sweep);
     }
 }

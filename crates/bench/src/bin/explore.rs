@@ -24,12 +24,11 @@ use std::io::{BufWriter, Write};
 
 use csb_bus::BusConfig;
 use csb_core::experiments::runner::{
-    run_values_observed, LabeledArtifacts, ObsConfig, PointArtifacts, PointSpec, PointValue,
-    PointWork,
+    run_sweep, LabeledArtifacts, ObsConfig, PointArtifacts, PointSpec, PointValue, PointWork,
 };
 use csb_core::experiments::{format_table, Scheme};
 use csb_core::workloads::StoreOrder;
-use csb_core::{trace, workloads, SimConfig, Simulator};
+use csb_core::{trace, workloads, SimConfig};
 
 #[derive(Debug)]
 struct Args {
@@ -111,13 +110,12 @@ fn parse_args() -> Args {
             "--timeline" => args.timeline = num("--timeline", val("--timeline")),
             "--asm" => args.asm = Some(val("--asm")),
             "--ledger" => args.ledger = Some(val("--ledger")),
-            "--no-fast-forward" => csb_core::set_default_fast_forward(false),
-            // Consumed by apply_cache_flags (which re-reads the raw
-            // command line); only the values must be skipped here.
+            // Consumed by ctx_from_args (which re-reads the raw command
+            // line); only the values must be skipped here.
             "--cache-dir" | "--snapshot-every" => {
                 val(&flag);
             }
-            "--no-cache" => {}
+            "--no-cache" | "--no-fast-forward" => {}
             other => csb_bench::usage_error(USAGE, format!("unknown flag {other}")),
         }
     }
@@ -144,7 +142,15 @@ fn scheme_from_flag(flag: &str, line: usize) -> Scheme {
 
 fn main() {
     let args = parse_args();
-    csb_bench::apply_cache_flags();
+    // Ledger records need the flush histograms, so --ledger turns on
+    // metrics capture for a sweep.
+    let ctx = csb_bench::ctx_from_args(
+        args.jobs,
+        ObsConfig {
+            trace: false,
+            metrics: args.ledger.is_some(),
+        },
+    );
     let bus = match args.bus.as_str() {
         "mux" => BusConfig::multiplexed(args.width),
         "split" => BusConfig::split(args.width),
@@ -183,14 +189,8 @@ fn main() {
                 },
             })
             .collect();
-        // Ledger records need the flush histograms, so --ledger turns on
-        // metrics capture for the sweep.
-        let obs = ObsConfig {
-            trace: false,
-            metrics: args.ledger.is_some(),
-        };
-        let (_, labeled, report) =
-            run_values_observed(&specs, args.jobs, obs).unwrap_or_else(|e| csb_bench::die(e));
+        let swept = run_sweep(&specs, &ctx).unwrap_or_else(|e| csb_bench::die(e));
+        let (labeled, report) = (swept.artifacts, swept.report);
         // Lock stdout once and buffer the sweep output.
         let mut out = BufWriter::new(std::io::stdout().lock());
         writeln!(
@@ -281,7 +281,10 @@ fn main() {
         None => workloads::store_bandwidth(bytes, &cfg, path)
             .unwrap_or_else(|e| csb_bench::die(format!("--bytes {bytes}: {e}"))),
     };
-    let mut sim = Simulator::new(cfg.clone(), program).expect("valid machine");
+    let mut slot = None;
+    let sim = ctx
+        .install(&mut slot, cfg.clone(), program)
+        .expect("valid machine");
     sim.enable_tracing();
     if args.ledger.is_some() {
         sim.enable_metrics();

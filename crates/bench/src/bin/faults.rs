@@ -24,18 +24,17 @@ const USAGE: &str = "faults [--jobs N] [--json out.json] [--trace-out trace.json
 
 fn main() {
     csb_bench::validate_standard_args(USAGE);
-    csb_bench::apply_fast_forward_flag();
-    csb_bench::apply_cache_flags();
     let jobs = csb_bench::jobs_from_args();
     let bo = csb_bench::obs_from_args();
-    let (sweep, artifacts, report) =
-        faults::run_jobs_observed(jobs, bo.obs).expect("fault sweep simulates");
-    let mut out = BufWriter::new(std::io::stdout().lock());
-    writeln!(out, "{}", sweep.to_table()).expect("stdout writable");
-    out.flush().expect("stdout flushes");
-    eprintln!("{}", report.render());
-    bo.emit("faults", &artifacts);
+    let ctx = csb_bench::ctx_from_args(jobs, bo.obs);
+    let out = faults::run(&ctx).expect("fault sweep simulates");
+    let sweep = &out.result;
+    let mut stdout = BufWriter::new(std::io::stdout().lock());
+    writeln!(stdout, "{}", sweep.to_table()).expect("stdout writable");
+    stdout.flush().expect("stdout flushes");
+    eprintln!("{}", out.report.render());
+    bo.emit("faults", &out.artifacts);
     if let Some(path) = csb_bench::json_path_from_args() {
-        csb_bench::dump_json(&path, &sweep);
+        csb_bench::dump_json(&path, sweep);
     }
 }

@@ -15,22 +15,19 @@ const USAGE: &str = "fig3 [--jobs N] [--json out.json] [--trace-out trace.json] 
 
 fn main() {
     csb_bench::validate_standard_args(USAGE);
-    csb_bench::apply_fast_forward_flag();
-    csb_bench::apply_cache_flags();
-    let jobs = csb_bench::jobs_from_args();
     let bo = csb_bench::obs_from_args();
-    let (panels, artifacts, report) =
-        fig3::run_jobs_observed(jobs, bo.obs).expect("Figure 3 panels simulate");
+    let ctx = csb_bench::ctx_from_args(csb_bench::jobs_from_args(), bo.obs);
+    let out = fig3::run(&ctx).expect("Figure 3 panels simulate");
     // Lock stdout once and buffer: the tables are thousands of short
     // lines, and a per-line lock/flush dominates the print path.
-    let mut out = BufWriter::new(std::io::stdout().lock());
-    for p in &panels {
-        writeln!(out, "{}", p.to_table()).expect("stdout writable");
+    let mut stdout = BufWriter::new(std::io::stdout().lock());
+    for p in &out.result {
+        writeln!(stdout, "{}", p.to_table()).expect("stdout writable");
     }
-    out.flush().expect("stdout flushes");
-    eprintln!("{}", report.render());
-    bo.emit("fig3", &artifacts);
+    stdout.flush().expect("stdout flushes");
+    eprintln!("{}", out.report.render());
+    bo.emit("fig3", &out.artifacts);
     if let Some(path) = csb_bench::json_path_from_args() {
-        csb_bench::dump_json(&path, &panels);
+        csb_bench::dump_json(&path, &out.result);
     }
 }

@@ -25,26 +25,25 @@ const USAGE: &str = "messaging [--jobs N] [--json out.json] [--trace-out trace.j
 
 fn main() {
     csb_bench::validate_standard_args(USAGE);
-    csb_bench::apply_fast_forward_flag();
-    csb_bench::apply_cache_flags();
     let jobs = csb_bench::jobs_from_args();
     let bo = csb_bench::obs_from_args();
-    let (sweep, artifacts, report) =
-        messaging::run_jobs_observed(jobs, bo.obs).expect("messaging sweep simulates");
-    let mut out = BufWriter::new(std::io::stdout().lock());
-    writeln!(out, "{}", sweep.to_table()).expect("stdout writable");
+    let ctx = csb_bench::ctx_from_args(jobs, bo.obs);
+    let out = messaging::run(&ctx).expect("messaging sweep simulates");
+    let sweep = &out.result;
+    let mut stdout = BufWriter::new(std::io::stdout().lock());
+    writeln!(stdout, "{}", sweep.to_table()).expect("stdout writable");
     writeln!(
-        out,
+        stdout,
         "exactly-once at rate 0: {}; per-seed degradation monotone: {}",
         sweep.exactly_once_at_zero(),
         sweep.per_seed_monotone
     )
     .expect("stdout writable");
-    out.flush().expect("stdout flushes");
-    eprintln!("{}", report.render());
-    bo.emit("messaging", &artifacts);
+    stdout.flush().expect("stdout flushes");
+    eprintln!("{}", out.report.render());
+    bo.emit("messaging", &out.artifacts);
     if let Some(path) = csb_bench::json_path_from_args() {
-        csb_bench::dump_json(&path, &sweep);
+        csb_bench::dump_json(&path, sweep);
     }
     if !sweep.exactly_once_at_zero() {
         eprintln!("messaging: exactly-once invariant violated at fault rate 0");

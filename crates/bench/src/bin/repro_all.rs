@@ -35,10 +35,8 @@ fn main() {
         csb_bench::STANDARD_BARE_FLAGS,
         0,
     );
-    csb_bench::apply_fast_forward_flag();
-    csb_bench::apply_cache_flags();
-    let jobs = csb_bench::jobs_from_args();
     let bo = csb_bench::obs_from_args();
+    let ctx = csb_bench::ctx_from_args(csb_bench::jobs_from_args(), bo.obs);
     // One stdout lock + buffer for the whole reproduction; per-line
     // println! costs a lock and flush each.
     let mut out = BufWriter::new(std::io::stdout().lock());
@@ -58,12 +56,12 @@ fn main() {
         "==================================================================\n"
     )
     .unwrap();
-    let (panels, artifacts, mut report) =
-        fig3::run_jobs_observed(jobs, bo.obs).expect("Figure 3 simulates");
-    for p in panels {
+    let swept = fig3::run(&ctx).expect("Figure 3 simulates");
+    for p in &swept.result {
         writeln!(out, "{}", p.to_table()).unwrap();
     }
-    bo.emit("fig3", &artifacts);
+    bo.emit("fig3", &swept.artifacts);
+    let mut report = swept.report;
 
     writeln!(
         out,
@@ -80,13 +78,12 @@ fn main() {
         "==================================================================\n"
     )
     .unwrap();
-    let (panels, artifacts, r4) =
-        fig4::run_jobs_observed(jobs, bo.obs).expect("Figure 4 simulates");
-    report.merge(&r4);
-    for p in panels {
+    let swept = fig4::run(&ctx).expect("Figure 4 simulates");
+    report.merge(&swept.report);
+    for p in &swept.result {
         writeln!(out, "{}", p.to_table()).unwrap();
     }
-    bo.emit("fig4", &artifacts);
+    bo.emit("fig4", &swept.artifacts);
 
     writeln!(
         out,
@@ -103,13 +100,12 @@ fn main() {
         "==================================================================\n"
     )
     .unwrap();
-    let (panels, artifacts, r5) =
-        fig5::run_jobs_observed(jobs, bo.obs).expect("Figure 5 simulates");
-    report.merge(&r5);
-    for p in panels {
+    let swept = fig5::run(&ctx).expect("Figure 5 simulates");
+    report.merge(&swept.report);
+    for p in &swept.result {
         writeln!(out, "{}", p.to_table()).unwrap();
     }
-    bo.emit("fig5", &artifacts);
+    bo.emit("fig5", &swept.artifacts);
     out.flush().expect("stdout flushes");
 
     eprintln!("{}", report.render());

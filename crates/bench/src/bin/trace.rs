@@ -15,9 +15,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use csb_core::experiments::runner::{
-    execute_point_observed, LabeledArtifacts, ObsConfig, PointSpec, PointValue,
-};
+use csb_core::experiments::runner::{run_sweep, ObsConfig, PointSpec, PointValue};
 use csb_core::experiments::{fig3, fig4, fig5};
 
 /// Every point the figure harnesses enumerate, in figure order.
@@ -52,10 +50,6 @@ fn main() -> ExitCode {
         &["--no-fast-forward", "--list", "--no-cache"],
         1,
     );
-    // Trace replays always capture artifacts, so the point itself is
-    // never served from cache — but --snapshot-every still dumps
-    // restorable mid-run snapshots under <cache-dir>/autosnap/.
-    csb_bench::apply_cache_flags();
     let positional: Vec<String> = {
         let mut args = std::env::args().skip(1);
         let mut pos = Vec::new();
@@ -65,10 +59,7 @@ fn main() -> ExitCode {
                 | "--snapshot-every" => {
                     args.next();
                 }
-                "--no-cache" => {}
-                // Tracing composes with fast-forward (the walk synthesizes
-                // the per-cycle events), so this genuinely switches loops.
-                "--no-fast-forward" => csb_core::set_default_fast_forward(false),
+                "--no-cache" | "--no-fast-forward" => {}
                 _ if a.starts_with("--trace-out=")
                     || a.starts_with("--metrics-out=")
                     || a.starts_with("--ledger=")
@@ -97,11 +88,20 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
 
+    // Trace replays always capture artifacts, so the point itself is
+    // never served from cache — but --snapshot-every still dumps
+    // restorable mid-run snapshots under <cache-dir>/autosnap/, and
+    // --no-fast-forward genuinely switches loops (tracing composes with
+    // fast-forward: the walk synthesizes the per-cycle events).
     let obs = ObsConfig {
         trace: true,
         metrics: true,
     };
-    let outcome = execute_point_observed(spec, obs).expect("figure point simulates");
+    let ctx = csb_bench::ctx_from_args(1, obs);
+    let outcome = run_sweep(std::slice::from_ref(spec), &ctx)
+        .expect("figure point simulates")
+        .artifacts
+        .remove(0);
 
     match outcome.value {
         PointValue::Bandwidth(bw) => println!("{}: {bw:.2} payload bytes/bus cycle", spec.label),
@@ -138,16 +138,7 @@ fn main() -> ExitCode {
         csb_bench::dump_json(&metrics_out, report);
     }
     if let Some(ledger) = csb_bench::flag_path_from_args("--ledger") {
-        let la = LabeledArtifacts {
-            label: spec.label.clone(),
-            value: outcome.value,
-            sim_cycles: outcome.sim_cycles,
-            wall: outcome.wall,
-            seed: 0,
-            config_hash: csb_obs::hash_config(&format!("{:?} {:?}", spec.cfg, spec.work)),
-            artifacts: outcome.artifacts.clone(),
-        };
-        csb_bench::append_ledger(&ledger, "trace", &[la]);
+        csb_bench::append_ledger(&ledger, "trace", std::slice::from_ref(&outcome));
     }
     ExitCode::SUCCESS
 }

@@ -33,13 +33,17 @@
 //! `RunReport` on stderr counts hits/misses/invalidations). `--no-cache`
 //! disables the store even when a script passes `--cache-dir`, and
 //! `--snapshot-every N` additionally dumps a restorable machine snapshot
-//! every N CPU cycles of every point into `<dir>/autosnap/`.
+//! every N CPU cycles of every point into `<dir>/autosnap/` (`contend`,
+//! whose time-sliced points do not snapshot, does not accept it).
+//!
+//! [`ctx_from_args`] turns these flags into the one [`RunCtx`] a binary
+//! hands to every sweep it runs.
 
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use csb_core::experiments::runner::{LabeledArtifacts, ObsConfig, PointValue};
+use csb_core::experiments::runner::{LabeledArtifacts, ObsConfig, PointValue, RunCtx};
 use csb_obs::LedgerRecord;
 
 /// The value-taking flags every figure binary accepts.
@@ -110,8 +114,8 @@ pub fn validate_args(
 }
 
 /// [`validate_args`] with the standard figure-binary vocabulary
-/// (`--jobs`, `--json`, `--trace-out`, `--metrics-out`, `--ledger`,
-/// `--no-fast-forward`) and no positional arguments.
+/// ([`STANDARD_VALUE_FLAGS`], [`STANDARD_BARE_FLAGS`]) and no positional
+/// arguments.
 pub fn validate_standard_args(usage: &str) {
     validate_args(usage, STANDARD_VALUE_FLAGS, STANDARD_BARE_FLAGS, 0);
 }
@@ -306,14 +310,17 @@ pub fn write_artifacts(
     }
 }
 
-/// Applies the caching and snapshot flags:
+/// Builds the sweep settings a binary hands to every sweep it runs, from
+/// the worker count and capture switches it parsed plus these flags:
 ///
+/// * `--no-fast-forward` forces the naive cycle-by-cycle simulation loop.
+///   Results are identical either way (differential tests enforce it);
+///   the flag is an escape hatch and a before/after throughput knob.
 /// * `--cache-dir <dir>` opens (creating if needed) the content-addressed
-///   point cache at `dir` and installs it process-wide — subsequent
-///   sweeps serve unchanged points from the cache instead of simulating
-///   them, so a warm re-run is pure replay and an edited configuration
-///   re-runs only its own points. `--no-cache` wins over `--cache-dir`
-///   (useful for scripts that pass a standard flag set).
+///   point cache at `dir` — sweeps serve unchanged points from it instead
+///   of simulating them, so a warm re-run is pure replay and an edited
+///   configuration re-runs only its own points. `--no-cache` wins over
+///   `--cache-dir` (useful for scripts that pass a standard flag set).
 /// * `--snapshot-every <cycles>` additionally dumps a restorable
 ///   full-machine snapshot every N CPU cycles of every simulated point
 ///   into `<dir>/autosnap/`, for post-mortem dissection of long or
@@ -321,22 +328,28 @@ pub fn write_artifacts(
 ///   store to land in).
 ///
 /// Exits with status 2 on an unusable directory or count.
-pub fn apply_cache_flags() {
-    let no_cache = std::env::args().skip(1).any(|a| a == "--no-cache");
+pub fn ctx_from_args(jobs: usize, obs: ObsConfig) -> RunCtx {
+    let has = |flag: &str| std::env::args().skip(1).any(|a| a == flag);
+    let mut ctx = RunCtx {
+        jobs,
+        obs,
+        fast_forward: !has("--no-fast-forward"),
+        ..RunCtx::default()
+    };
     let cache_dir = flag_path_from_args("--cache-dir");
     let every = flag_path_from_args("--snapshot-every");
-    if no_cache {
-        return;
+    if has("--no-cache") {
+        return ctx;
     }
     let Some(dir) = cache_dir else {
         if every.is_some() {
             die("--snapshot-every requires --cache-dir (snapshots are written under it)");
         }
-        return;
+        return ctx;
     };
     let cache = csb_core::cache::PointCache::open(&dir)
         .unwrap_or_else(|e| die(format!("cannot open cache dir {}: {e}", dir.display())));
-    csb_core::cache::set_active(Some(std::sync::Arc::new(cache)));
+    ctx.cache = Some(std::sync::Arc::new(cache));
     if let Some(every) = every {
         let every: u64 = every
             .to_str()
@@ -346,22 +359,12 @@ pub fn apply_cache_flags() {
         let snap_dir = dir.join("autosnap");
         fs::create_dir_all(&snap_dir)
             .unwrap_or_else(|e| die(format!("cannot create {}: {e}", snap_dir.display())));
-        csb_core::snapshot::set_autosnap(Some(csb_core::snapshot::AutosnapConfig {
+        ctx.autosnap = Some(csb_core::snapshot::AutosnapConfig {
             every,
             dir: snap_dir,
-        }));
+        });
     }
-}
-
-/// Applies the `--no-fast-forward` flag: when present, disables the
-/// event-driven idle-cycle fast-forward for every simulator the process
-/// creates, forcing the naive cycle-by-cycle loop. Results are identical
-/// either way (that is enforced by differential tests); the flag exists
-/// as an escape hatch and for before/after throughput measurements.
-pub fn apply_fast_forward_flag() {
-    if std::env::args().skip(1).any(|a| a == "--no-fast-forward") {
-        csb_core::set_default_fast_forward(false);
-    }
+    ctx
 }
 
 /// Parses an optional `--jobs <N>` (or `--jobs=N`) argument: the worker

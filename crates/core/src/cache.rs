@@ -25,17 +25,18 @@
 //!   workers (or concurrent processes sharing one dir) never expose a
 //!   half-written entry.
 //!
-//! The cache is process-global ([`set_active`]) so the experiment
-//! harnesses deep inside the sweep engines can consult it without
-//! threading a handle through every signature; the bench binaries
-//! activate it from `--cache-dir`.
+//! A sweep consults the store its [`RunCtx`] carries; the bench
+//! binaries open one from `--cache-dir`. The sweep engine
+//! ([`run_sweep`]) is the only reader and writer.
+//!
+//! [`RunCtx`]: crate::experiments::runner::RunCtx
+//! [`run_sweep`]: crate::experiments::runner::run_sweep
 
 use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
 use csb_snap::{SnapshotReader, SnapshotWriter};
 
@@ -95,8 +96,6 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct PointCache {
     dir: PathBuf,
-    hits: AtomicU64,
-    misses: AtomicU64,
     invalidations: AtomicU64,
     bytes_read: AtomicU64,
     bytes_written: AtomicU64,
@@ -114,8 +113,6 @@ impl PointCache {
         fs::create_dir_all(&dir)?;
         Ok(PointCache {
             dir,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
@@ -129,25 +126,12 @@ impl PointCache {
     }
 
     /// Content-addresses one point: an FNV-1a fold of the snapshot format
-    /// version and each part in order. Callers pass the point's
-    /// configuration/workload renderings and seed; the version term makes
-    /// every entry self-invalidate across format bumps.
-    pub fn key(parts: &[&[u8]]) -> u64 {
-        let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
-        for p in parts {
-            // Length-prefix each part so part boundaries can't alias.
-            buf.extend_from_slice(&(p.len() as u64).to_le_bytes());
-            buf.extend_from_slice(p);
-        }
-        csb_snap::fnv1a(&buf)
-    }
-
-    /// [`PointCache::key`] for `Debug`-renderable parts plus a seed: each
-    /// rendering is streamed straight into the hash (no allocation — the
-    /// hot path of a warm sweep is key computation). Each part's byte
-    /// length is folded after its content, the streaming analogue of
-    /// `key`'s length prefixes, so part boundaries can't alias.
+    /// version, the `Debug` rendering of each part in order (the point's
+    /// configuration and workload), and the seed. The version term makes
+    /// every entry self-invalidate across format bumps. Each rendering is
+    /// streamed straight into the hash (no allocation — the hot path of a
+    /// warm sweep is key computation), and each part's byte length is
+    /// folded after its content so part boundaries can't alias.
     pub fn key_debug(parts: &[&dyn fmt::Debug], seed: u64) -> u64 {
         struct Counted {
             h: csb_snap::Fnv1a,
@@ -182,9 +166,8 @@ impl PointCache {
     /// Loads the payload stored under `key`, or `None` on a miss. A
     /// present-but-invalid entry (corrupt, truncated, stale format) is
     /// counted as an invalidation, deleted, and reported as a miss so the
-    /// caller re-simulates. The hit/miss counters are the caller's to
-    /// bump ([`PointCache::note_hit`] / [`PointCache::note_miss`]) once
-    /// it knows the payload decoded.
+    /// caller re-simulates. Hits and misses are the caller's to count once
+    /// it knows whether the payload decoded.
     pub fn load(&self, key: u64) -> Option<Vec<u8>> {
         let path = self.path(key);
         let bytes = fs::read(&path).ok()?;
@@ -231,44 +214,19 @@ impl PointCache {
         let _ = fs::remove_file(self.path(key));
     }
 
-    /// Counts one served point.
-    pub fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one simulated point.
-    pub fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A snapshot of the lifetime counters.
+    /// A snapshot of the store's lifetime I/O counters: invalidations and
+    /// bytes moved. Hits and misses are zero here — whether a loaded
+    /// payload was usable is the sweep engine's call, so the engine counts
+    /// those per sweep.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: 0,
+            misses: 0,
             invalidations: self.invalidations.load(Ordering::Relaxed),
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
         }
     }
-}
-
-static ACTIVE: Mutex<Option<Arc<PointCache>>> = Mutex::new(None);
-
-/// Installs (or with `None` removes) the process-global cache the sweep
-/// engines consult. The bench binaries call this from `--cache-dir`.
-pub fn set_active(cache: Option<Arc<PointCache>>) {
-    *ACTIVE.lock().expect("cache registry poisoned") = cache;
-}
-
-/// The installed cache, if any.
-pub fn active() -> Option<Arc<PointCache>> {
-    ACTIVE.lock().expect("cache registry poisoned").clone()
-}
-
-/// Lifetime counters of the installed cache, if any.
-pub fn active_stats() -> Option<CacheStats> {
-    active().map(|c| c.stats())
 }
 
 #[cfg(test)]
@@ -285,7 +243,7 @@ mod tests {
     #[test]
     fn round_trips_and_counts() {
         let cache = PointCache::open(tmp_dir("rt")).unwrap();
-        let key = PointCache::key(&[b"cfg", b"work", &7u64.to_le_bytes()]);
+        let key = PointCache::key_debug(&[&"cfg", &"work"], 7);
         assert!(cache.load(key).is_none());
         cache.store(key, b"payload");
         assert_eq!(cache.load(key).as_deref(), Some(&b"payload"[..]));
@@ -298,7 +256,7 @@ mod tests {
     #[test]
     fn corrupt_entry_is_invalidated() {
         let cache = PointCache::open(tmp_dir("corrupt")).unwrap();
-        let key = PointCache::key(&[b"x"]);
+        let key = PointCache::key_debug(&[&"x"], 0);
         cache.store(key, b"data");
         let path = cache.dir().join(format!("{key:016x}"));
         let mut bytes = fs::read(&path).unwrap();
@@ -313,12 +271,19 @@ mod tests {
 
     #[test]
     fn keys_separate_parts_and_version() {
-        // ["ab","c"] and ["a","bc"] must not collide: parts are
-        // length-prefixed inside the fold.
+        // [12, 3] and [1, 23] render to the same bytes "123" but must not
+        // collide: each part's length is folded into the hash.
         assert_ne!(
-            PointCache::key(&[b"ab", b"c"]),
-            PointCache::key(&[b"a", b"bc"])
+            PointCache::key_debug(&[&12, &3], 0),
+            PointCache::key_debug(&[&1, &23], 0)
         );
-        assert_ne!(PointCache::key(&[b"a"]), PointCache::key(&[b"b"]));
+        assert_ne!(
+            PointCache::key_debug(&[&"a"], 0),
+            PointCache::key_debug(&[&"b"], 0)
+        );
+        assert_ne!(
+            PointCache::key_debug(&[&"a"], 0),
+            PointCache::key_debug(&[&"a"], 1)
+        );
     }
 }

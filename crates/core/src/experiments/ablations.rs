@@ -13,9 +13,7 @@ use csb_cpu::CpuConfig;
 use serde::{Deserialize, Serialize};
 
 use super::fig5::LockResidency;
-use super::runner::{
-    self, LabeledArtifacts, ObsConfig, PointSpec, PointValue, PointWork, RunReport,
-};
+use super::runner::{run_sweep, PointSpec, PointValue, PointWork, RunCtx, SweepOutput};
 use super::{ExpError, Scheme, TRANSFERS};
 use crate::config::SimConfig;
 use crate::workloads::StoreOrder;
@@ -82,34 +80,10 @@ pub struct WidthRow {
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn superscalar_widths(dwords: usize) -> Result<Vec<WidthRow>, ExpError> {
-    Ok(superscalar_widths_jobs(dwords, 1)?.0)
-}
-
-/// [`superscalar_widths`] on `jobs` workers, with the sweep's [`RunReport`].
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn superscalar_widths_jobs(
+pub fn superscalar_widths(
     dwords: usize,
-    jobs: usize,
-) -> Result<(Vec<WidthRow>, RunReport), ExpError> {
-    let (rows, _, report) = superscalar_widths_jobs_observed(dwords, jobs, ObsConfig::default())?;
-    Ok((rows, report))
-}
-
-/// [`superscalar_widths_jobs`] with artifact capture: also returns one
-/// [`LabeledArtifacts`] per enumerated point, in enumeration order.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn superscalar_widths_jobs_observed(
-    dwords: usize,
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(Vec<WidthRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
+    ctx: &RunCtx,
+) -> Result<SweepOutput<Vec<WidthRow>>, ExpError> {
     let widths = [2usize, 4, 8];
     let specs: Vec<PointSpec> = widths
         .iter()
@@ -126,17 +100,17 @@ pub fn superscalar_widths_jobs_observed(
             ]
         })
         .collect();
-    let (values, artifacts, report) = runner::run_values_observed(&specs, jobs, obs)?;
-    let rows = widths
-        .iter()
-        .zip(values.chunks(2))
-        .map(|(&width, pair)| WidthRow {
-            width,
-            lock_cycles: expect_lat(pair[0]),
-            csb_cycles: expect_lat(pair[1]),
-        })
-        .collect();
-    Ok((rows, artifacts, report))
+    Ok(run_sweep(&specs, ctx)?.map(|values| {
+        widths
+            .iter()
+            .zip(values.chunks(2))
+            .map(|(&width, pair)| WidthRow {
+                width,
+                lock_cycles: expect_lat(pair[0]),
+                csb_cycles: expect_lat(pair[1]),
+            })
+            .collect()
+    }))
 }
 
 /// Bandwidth comparison between two CSB configurations over [`TRANSFERS`].
@@ -155,35 +129,8 @@ pub struct CsbVariantRow {
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn double_buffered() -> Result<Vec<CsbVariantRow>, ExpError> {
-    Ok(double_buffered_jobs(1)?.0)
-}
-
-/// [`double_buffered`] on `jobs` workers, with the sweep's [`RunReport`].
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn double_buffered_jobs(jobs: usize) -> Result<(Vec<CsbVariantRow>, RunReport), ExpError> {
-    let (rows, _, report) = double_buffered_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((rows, report))
-}
-
-/// [`double_buffered_jobs`] with artifact capture.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn double_buffered_jobs_observed(
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(Vec<CsbVariantRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    csb_variant_jobs(
-        SimConfig::default().csb_double_buffered(),
-        "double",
-        jobs,
-        obs,
-    )
+pub fn double_buffered(ctx: &RunCtx) -> Result<SweepOutput<Vec<CsbVariantRow>>, ExpError> {
+    csb_variant(SimConfig::default().csb_double_buffered(), "double", ctx)
 }
 
 /// Compares the baseline CSB against the variable-burst extension.
@@ -191,45 +138,17 @@ pub fn double_buffered_jobs_observed(
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn variable_burst() -> Result<Vec<CsbVariantRow>, ExpError> {
-    Ok(variable_burst_jobs(1)?.0)
-}
-
-/// [`variable_burst`] on `jobs` workers, with the sweep's [`RunReport`].
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn variable_burst_jobs(jobs: usize) -> Result<(Vec<CsbVariantRow>, RunReport), ExpError> {
-    let (rows, _, report) = variable_burst_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((rows, report))
-}
-
-/// [`variable_burst_jobs`] with artifact capture.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn variable_burst_jobs_observed(
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(Vec<CsbVariantRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    csb_variant_jobs(
-        SimConfig::default().csb_variable_burst(),
-        "varburst",
-        jobs,
-        obs,
-    )
+pub fn variable_burst(ctx: &RunCtx) -> Result<SweepOutput<Vec<CsbVariantRow>>, ExpError> {
+    csb_variant(SimConfig::default().csb_variable_burst(), "varburst", ctx)
 }
 
 /// Shared sweep for the CSB extensions: baseline vs. variant over
 /// [`TRANSFERS`], through the engine.
-fn csb_variant_jobs(
+fn csb_variant(
     var_cfg: SimConfig,
     tag: &str,
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(Vec<CsbVariantRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
+    ctx: &RunCtx,
+) -> Result<SweepOutput<Vec<CsbVariantRow>>, ExpError> {
     let base_cfg = SimConfig::default();
     let specs: Vec<PointSpec> = TRANSFERS
         .iter()
@@ -240,17 +159,17 @@ fn csb_variant_jobs(
             ]
         })
         .collect();
-    let (values, artifacts, report) = runner::run_values_observed(&specs, jobs, obs)?;
-    let rows = TRANSFERS
-        .iter()
-        .zip(values.chunks(2))
-        .map(|(&transfer, pair)| CsbVariantRow {
-            transfer,
-            baseline: expect_bw(pair[0]),
-            variant: expect_bw(pair[1]),
-        })
-        .collect();
-    Ok((rows, artifacts, report))
+    Ok(run_sweep(&specs, ctx)?.map(|values| {
+        TRANSFERS
+            .iter()
+            .zip(values.chunks(2))
+            .map(|(&transfer, pair)| CsbVariantRow {
+                transfer,
+                baseline: expect_bw(pair[0]),
+                variant: expect_bw(pair[1]),
+            })
+            .collect()
+    }))
 }
 
 /// One scheme's bandwidth under three bus-load models.
@@ -275,29 +194,7 @@ pub struct LoadedBusRow {
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn loaded_bus() -> Result<Vec<LoadedBusRow>, ExpError> {
-    Ok(loaded_bus_jobs(1)?.0)
-}
-
-/// [`loaded_bus`] on `jobs` workers, with the sweep's [`RunReport`].
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn loaded_bus_jobs(jobs: usize) -> Result<(Vec<LoadedBusRow>, RunReport), ExpError> {
-    let (rows, _, report) = loaded_bus_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((rows, report))
-}
-
-/// [`loaded_bus_jobs`] with artifact capture.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn loaded_bus_jobs_observed(
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(Vec<LoadedBusRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
+pub fn loaded_bus(ctx: &RunCtx) -> Result<SweepOutput<Vec<LoadedBusRow>>, ExpError> {
     let idle_cfg = SimConfig::default();
     let approx_cfg = SimConfig::default().bus(
         csb_bus::BusConfig::multiplexed(8)
@@ -328,18 +225,18 @@ pub fn loaded_bus_jobs_observed(
             ]
         })
         .collect();
-    let (values, artifacts, report) = runner::run_values_observed(&specs, jobs, obs)?;
-    let rows = schemes
-        .iter()
-        .zip(values.chunks(3))
-        .map(|(&s, triple)| LoadedBusRow {
-            scheme: s.to_string(),
-            idle: expect_bw(triple[0]),
-            turnaround_approx: expect_bw(triple[1]),
-            contention: expect_bw(triple[2]),
-        })
-        .collect();
-    Ok((rows, artifacts, report))
+    Ok(run_sweep(&specs, ctx)?.map(|values| {
+        schemes
+            .iter()
+            .zip(values.chunks(3))
+            .map(|(&s, triple)| LoadedBusRow {
+                scheme: s.to_string(),
+                idle: expect_bw(triple[0]),
+                turnaround_approx: expect_bw(triple[1]),
+                contention: expect_bw(triple[2]),
+            })
+            .collect()
+    }))
 }
 
 /// Bandwidth as a function of uncached-buffer capacity for one scheme.
@@ -361,29 +258,7 @@ pub struct CapacityRow {
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn buffer_capacity() -> Result<Vec<CapacityRow>, ExpError> {
-    Ok(buffer_capacity_jobs(1)?.0)
-}
-
-/// [`buffer_capacity`] on `jobs` workers, with the sweep's [`RunReport`].
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn buffer_capacity_jobs(jobs: usize) -> Result<(Vec<CapacityRow>, RunReport), ExpError> {
-    let (rows, _, report) = buffer_capacity_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((rows, report))
-}
-
-/// [`buffer_capacity_jobs`] with artifact capture.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn buffer_capacity_jobs_observed(
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(Vec<CapacityRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
+pub fn buffer_capacity(ctx: &RunCtx) -> Result<SweepOutput<Vec<CapacityRow>>, ExpError> {
     let capacities = [2usize, 4, 8, 16];
     let specs: Vec<PointSpec> = capacities
         .iter()
@@ -408,17 +283,17 @@ pub fn buffer_capacity_jobs_observed(
             ]
         })
         .collect();
-    let (values, artifacts, report) = runner::run_values_observed(&specs, jobs, obs)?;
-    let rows = capacities
-        .iter()
-        .zip(values.chunks(2))
-        .map(|(&capacity, pair)| CapacityRow {
-            capacity,
-            none: expect_bw(pair[0]),
-            full_line: expect_bw(pair[1]),
-        })
-        .collect();
-    Ok((rows, artifacts, report))
+    Ok(run_sweep(&specs, ctx)?.map(|values| {
+        capacities
+            .iter()
+            .zip(values.chunks(2))
+            .map(|(&capacity, pair)| CapacityRow {
+                capacity,
+                none: expect_bw(pair[0]),
+                full_line: expect_bw(pair[1]),
+            })
+            .collect()
+    }))
 }
 
 /// CSB sequence latency as a function of the core's uncached issue rate.
@@ -438,29 +313,7 @@ pub struct IssueRateRow {
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn uncached_issue_rate() -> Result<Vec<IssueRateRow>, ExpError> {
-    Ok(uncached_issue_rate_jobs(1)?.0)
-}
-
-/// [`uncached_issue_rate`] on `jobs` workers, with the sweep's [`RunReport`].
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn uncached_issue_rate_jobs(jobs: usize) -> Result<(Vec<IssueRateRow>, RunReport), ExpError> {
-    let (rows, _, report) = uncached_issue_rate_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((rows, report))
-}
-
-/// [`uncached_issue_rate_jobs`] with artifact capture.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn uncached_issue_rate_jobs_observed(
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(Vec<IssueRateRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
+pub fn uncached_issue_rate(ctx: &RunCtx) -> Result<SweepOutput<Vec<IssueRateRow>>, ExpError> {
     let rates = [1usize, 2, 4];
     let specs: Vec<PointSpec> = rates
         .iter()
@@ -470,16 +323,16 @@ pub fn uncached_issue_rate_jobs_observed(
             lat_spec(format!("issue/{per_cycle}/csb"), &cfg, 8, Scheme::Csb)
         })
         .collect();
-    let (values, artifacts, report) = runner::run_values_observed(&specs, jobs, obs)?;
-    let rows = rates
-        .iter()
-        .zip(values)
-        .map(|(&per_cycle, v)| IssueRateRow {
-            per_cycle,
-            csb_cycles: expect_lat(v),
-        })
-        .collect();
-    Ok((rows, artifacts, report))
+    Ok(run_sweep(&specs, ctx)?.map(|values| {
+        rates
+            .iter()
+            .zip(values)
+            .map(|(&per_cycle, v)| IssueRateRow {
+                per_cycle,
+                csb_cycles: expect_lat(v),
+            })
+            .collect()
+    }))
 }
 
 /// Store-order sensitivity of one scheme at one transfer size.
@@ -504,29 +357,7 @@ pub struct OrderSensitivityRow {
 /// # Errors
 ///
 /// Propagates simulation failures.
-pub fn related_work() -> Result<Vec<OrderSensitivityRow>, ExpError> {
-    Ok(related_work_jobs(1)?.0)
-}
-
-/// [`related_work`] on `jobs` workers, with the sweep's [`RunReport`].
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn related_work_jobs(jobs: usize) -> Result<(Vec<OrderSensitivityRow>, RunReport), ExpError> {
-    let (rows, _, report) = related_work_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((rows, report))
-}
-
-/// [`related_work_jobs`] with artifact capture.
-///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn related_work_jobs_observed(
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(Vec<OrderSensitivityRow>, Vec<LabeledArtifacts>, RunReport), ExpError> {
+pub fn related_work(ctx: &RunCtx) -> Result<SweepOutput<Vec<OrderSensitivityRow>>, ExpError> {
     let cfg = SimConfig::default();
     let schemes = [
         Scheme::Uncached { block: 8 },
@@ -560,24 +391,36 @@ pub fn related_work_jobs_observed(
             ]
         })
         .collect();
-    let (values, artifacts, report) = runner::run_values_observed(&specs, jobs, obs)?;
-    let rows = grid
-        .iter()
-        .zip(values.chunks(2))
-        .map(|(&(transfer, s), pair)| OrderSensitivityRow {
-            transfer,
-            scheme: s.to_string(),
-            ascending: expect_bw(pair[0]),
-            shuffled: expect_bw(pair[1]),
-        })
-        .collect();
-    Ok((rows, artifacts, report))
+    Ok(run_sweep(&specs, ctx)?.map(|values| {
+        grid.iter()
+            .zip(values.chunks(2))
+            .map(|(&(transfer, s), pair)| OrderSensitivityRow {
+                transfer,
+                scheme: s.to_string(),
+                ascending: expect_bw(pair[0]),
+                shuffled: expect_bw(pair[1]),
+            })
+            .collect()
+    }))
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::runner::SweepPoint;
     use super::*;
-    use crate::experiments::{bandwidth_point, bandwidth_point_ordered};
+    use crate::experiments::bandwidth_point;
+
+    /// Bandwidth of one point under an explicit store order.
+    fn ordered_bandwidth(
+        cfg: &SimConfig,
+        transfer: usize,
+        scheme: Scheme,
+        order: StoreOrder,
+    ) -> Result<f64, ExpError> {
+        let spec = bw_spec_ordered(String::new(), cfg, transfer, scheme, order);
+        let measured = spec.run(&mut None, &RunCtx::default())?;
+        Ok(expect_bw(measured.out))
+    }
 
     #[test]
     fn r10000_matches_full_line_on_ascending_streams() {
@@ -596,12 +439,12 @@ mod tests {
         // degrading to single-beat transfers (the non-combining 4 B/c),
         // while block combining and the CSB do not care about order.
         let cfg = SimConfig::default();
-        let r10k = bandwidth_point_ordered(&cfg, 1024, Scheme::R10k, StoreOrder::Shuffled).unwrap();
+        let r10k = ordered_bandwidth(&cfg, 1024, Scheme::R10k, StoreOrder::Shuffled).unwrap();
         assert!(
             (r10k - 4.0).abs() < 0.3,
             "shuffled R10000 ~ non-combining, got {r10k}"
         );
-        let block = bandwidth_point_ordered(
+        let block = ordered_bandwidth(
             &cfg,
             1024,
             Scheme::Uncached { block: 64 },
@@ -612,7 +455,7 @@ mod tests {
             block > 6.5,
             "block combining is order-insensitive, got {block}"
         );
-        let csb = bandwidth_point_ordered(&cfg, 1024, Scheme::Csb, StoreOrder::Shuffled).unwrap();
+        let csb = ordered_bandwidth(&cfg, 1024, Scheme::Csb, StoreOrder::Shuffled).unwrap();
         assert!(
             (csb - 64.0 / 9.0).abs() < 0.2,
             "CSB is order-insensitive, got {csb}"
@@ -627,8 +470,7 @@ mod tests {
             (asc - 16.0 / 3.0).abs() < 0.2,
             "pairs: 16B per 3 cycles, got {asc}"
         );
-        let shuf =
-            bandwidth_point_ordered(&cfg, 1024, Scheme::Ppc620, StoreOrder::Shuffled).unwrap();
+        let shuf = ordered_bandwidth(&cfg, 1024, Scheme::Ppc620, StoreOrder::Shuffled).unwrap();
         assert!(
             (shuf - 4.0).abs() < 0.3,
             "no pairs when shuffled, got {shuf}"
@@ -637,7 +479,7 @@ mod tests {
 
     #[test]
     fn deeper_buffers_help_combining_not_singles() {
-        let rows = buffer_capacity().unwrap();
+        let rows = buffer_capacity(&RunCtx::default()).unwrap().result;
         let shallow = rows.iter().find(|r| r.capacity == 2).unwrap();
         let deep = rows.iter().find(|r| r.capacity == 16).unwrap();
         // Non-combining is bus-bound: 4 B/c regardless of depth.
@@ -649,7 +491,7 @@ mod tests {
 
     #[test]
     fn dual_issue_uncached_path_cuts_csb_latency() {
-        let rows = uncached_issue_rate().unwrap();
+        let rows = uncached_issue_rate(&RunCtx::default()).unwrap().result;
         let single = rows.iter().find(|r| r.per_cycle == 1).unwrap().csb_cycles;
         let dual = rows.iter().find(|r| r.per_cycle == 2).unwrap().csb_cycles;
         assert!(dual < single, "dual issue {dual} must beat single {single}");
@@ -659,7 +501,7 @@ mod tests {
 
     #[test]
     fn loaded_bus_degrades_everyone_but_csb_least() {
-        let rows = loaded_bus().unwrap();
+        let rows = loaded_bus(&RunCtx::default()).unwrap().result;
         for r in &rows {
             assert!(
                 r.turnaround_approx < r.idle,
@@ -688,7 +530,7 @@ mod tests {
 
     #[test]
     fn related_work_table_is_complete() {
-        let rows = related_work().unwrap();
+        let rows = related_work(&RunCtx::default()).unwrap().result;
         assert_eq!(rows.len(), 15); // 3 transfers x 5 schemes
         assert!(rows.iter().any(|r| r.scheme == "R10000"));
     }
@@ -698,7 +540,7 @@ mod tests {
         // The paper's claim: short dependence chains make the lock overhead
         // identical on 2-way and 8-way machines. Allow a small tolerance
         // for front-end width effects.
-        let rows = superscalar_widths(4).unwrap();
+        let rows = superscalar_widths(4, &RunCtx::default()).unwrap().result;
         let base = rows.iter().find(|r| r.width == 4).unwrap().lock_cycles;
         for r in &rows {
             let diff = r.lock_cycles.abs_diff(base);
@@ -714,7 +556,7 @@ mod tests {
 
     #[test]
     fn variable_burst_removes_small_transfer_penalty() {
-        let rows = variable_burst().unwrap();
+        let rows = variable_burst(&RunCtx::default()).unwrap().result;
         let t16 = rows.iter().find(|r| r.transfer == 16).unwrap();
         // 16 bytes: full line costs 9 bus cycles; a 16B transaction costs 3.
         assert!(
@@ -730,7 +572,7 @@ mod tests {
 
     #[test]
     fn double_buffering_never_hurts() {
-        for row in double_buffered().unwrap() {
+        for row in double_buffered(&RunCtx::default()).unwrap().result {
             assert!(
                 row.variant >= row.baseline - 0.2,
                 "double buffering regressed at {}B: {} vs {}",

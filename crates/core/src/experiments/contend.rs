@@ -25,16 +25,20 @@
 //!
 //! [`CsbStats::cross_pid_resets`]: csb_uncached::CsbStats::cross_pid_resets
 
-use std::time::Duration;
-
 use serde::{Deserialize, Serialize};
 
-use super::runner::{LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport};
+use super::runner::{
+    merge_histograms, put_histogram, run_sweep, take_histogram, Measured, PointValue, RunCtx,
+    SweepOutput, SweepPoint,
+};
 use super::{format_table, ExpError};
+use crate::cache::PointCache;
 use crate::config::SimConfig;
 use crate::multiproc::{MultiSim, SwitchPolicy};
+use crate::sim::Simulator;
 use crate::workloads;
-use csb_obs::{BucketCount, HistogramSummary};
+use csb_obs::HistogramSummary;
+use csb_snap::{SnapshotReader, SnapshotWriter};
 
 /// Processor counts swept.
 pub const CORES: [usize; 3] = [16, 32, 64];
@@ -203,21 +207,26 @@ impl ContendSweep {
     }
 }
 
+/// One seeded (cores, scheme) point of the sweep.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ContendPoint {
+    scheme: ContendScheme,
+    cores: usize,
+    seed: u64,
+}
+
 /// Raw outcome of a single seeded run.
 #[derive(Debug, Clone)]
-struct PointResult {
+pub(crate) struct ContendOutcome {
     payload_bytes: u64,
     cycles: u64,
     switches: u64,
     flush_failures: u64,
     cross_pid_resets: u64,
     flush: Option<HistogramSummary>,
-    sim_cycles: u64,
-    wall: Duration,
-    artifacts: PointArtifacts,
 }
 
-impl PointResult {
+impl ContendOutcome {
     fn throughput(&self) -> f64 {
         if self.cycles == 0 {
             0.0
@@ -227,337 +236,173 @@ impl PointResult {
     }
 }
 
-/// A summary with re-derived quantiles from raw bucket counts: merging
-/// into an empty summary runs the exact ranked-walk estimator, so a
-/// decoded cache payload is indistinguishable from a live capture.
-fn summary_from_buckets(
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-    buckets: Vec<BucketCount>,
-) -> HistogramSummary {
-    let mut s = HistogramSummary {
-        count: 0,
-        sum: 0,
-        min: 0,
-        max: 0,
-        p50: 0,
-        p95: 0,
-        p99: 0,
-        p999: 0,
-        buckets: Vec::new(),
-    };
-    s.merge(&HistogramSummary {
-        count,
-        sum,
-        min,
-        max,
-        p50: 0,
-        p95: 0,
-        p99: 0,
-        p999: 0,
-        buckets,
-    });
-    s
-}
-
-/// Content-address of one seeded contention point: machine configuration,
-/// workload shape, scheduling, arrival span, and seed.
-fn contend_point_key(scheme: ContendScheme, cores: usize, seed: u64) -> u64 {
-    let cfg = format!("{:?}", scheme.config());
-    let work = format!(
-        "contend {} c{cores} {ITERATIONS}it {DWORDS}dw slice{SLICE} span{ARRIVAL_SPAN}",
-        scheme.label()
-    );
-    crate::cache::PointCache::key(&[cfg.as_bytes(), work.as_bytes(), &seed.to_le_bytes()])
-}
-
-fn encode_contend_payload(r: &PointResult) -> Vec<u8> {
-    let mut w = csb_snap::SnapshotWriter::new();
-    w.put_tag("cnt");
-    w.put_u64(r.payload_bytes);
-    w.put_u64(r.cycles);
-    w.put_u64(r.switches);
-    w.put_u64(r.flush_failures);
-    w.put_u64(r.cross_pid_resets);
-    w.put_u64(r.sim_cycles);
-    // Raw histogram bucket counts, so a cached cell merges across seeds
-    // exactly like a live one (quantiles are re-derived on decode).
-    match &r.flush {
-        Some(h) => {
-            w.put_bool(true);
-            w.put_u64(h.count);
-            w.put_u64(h.sum);
-            w.put_u64(h.min);
-            w.put_u64(h.max);
-            w.put_usize(h.buckets.len());
-            for b in &h.buckets {
-                w.put_u64(b.le);
-                w.put_u64(b.n);
-            }
-        }
-        None => w.put_bool(false),
+impl ContendPoint {
+    /// Per-process programs for this point.
+    fn programs(&self, cfg: &SimConfig) -> Result<Vec<csb_isa::Program>, ExpError> {
+        (0..self.cores)
+            .map(|i| match self.scheme {
+                ContendScheme::Lock => Ok(workloads::lock_worker(ITERATIONS, DWORDS)?),
+                ContendScheme::Csb | ContendScheme::CsbDouble => {
+                    Ok(workloads::csb_worker(ITERATIONS, DWORDS, i, cfg)?)
+                }
+            })
+            .collect()
     }
-    w.finish()
 }
 
-fn decode_contend_payload(bytes: &[u8]) -> Option<PointResult> {
-    let mut r = csb_snap::SnapshotReader::new(bytes);
-    r.take_tag("cnt").ok()?;
-    let payload_bytes = r.take_u64().ok()?;
-    let cycles = r.take_u64().ok()?;
-    let switches = r.take_u64().ok()?;
-    let flush_failures = r.take_u64().ok()?;
-    let cross_pid_resets = r.take_u64().ok()?;
-    let sim_cycles = r.take_u64().ok()?;
-    let flush = if r.take_bool().ok()? {
-        let count = r.take_u64().ok()?;
-        let sum = r.take_u64().ok()?;
-        let min = r.take_u64().ok()?;
-        let max = r.take_u64().ok()?;
-        let len = r.take_usize().ok()?;
-        // Each bucket takes 16 bytes: a length the rest cannot hold is
-        // corrupt, and must not size an allocation.
-        if len > r.remaining() / 8 {
-            return None;
-        }
-        let mut buckets = Vec::with_capacity(len);
-        for _ in 0..len {
-            let le = r.take_u64().ok()?;
-            let n = r.take_u64().ok()?;
-            buckets.push(BucketCount { le, n });
-        }
-        Some(summary_from_buckets(count, sum, min, max, buckets))
-    } else {
-        None
-    };
-    let _checksum = r.take_u64().ok()?;
-    r.expect_end("cached contention point payload").ok()?;
-    Some(PointResult {
-        payload_bytes,
-        cycles,
-        switches,
-        flush_failures,
-        cross_pid_resets,
-        flush,
-        sim_cycles,
-        wall: Duration::ZERO,
-        artifacts: PointArtifacts::default(),
-    })
-}
+impl SweepPoint for ContendPoint {
+    type Output = ContendOutcome;
+    const TAG: &'static str = "cnt";
 
-/// Per-process programs for one point.
-fn programs(
-    scheme: ContendScheme,
-    cores: usize,
-    cfg: &SimConfig,
-) -> Result<Vec<csb_isa::Program>, ExpError> {
-    (0..cores)
-        .map(|i| match scheme {
-            ContendScheme::Lock => Ok(workloads::lock_worker(ITERATIONS, DWORDS)?),
-            ContendScheme::Csb | ContendScheme::CsbDouble => {
-                Ok(workloads::csb_worker(ITERATIONS, DWORDS, i, cfg)?)
-            }
+    fn label(&self) -> String {
+        format!("contend/c{}/{}", self.cores, self.scheme.label())
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn config_text(&self) -> String {
+        format!(
+            "{:?} contend {} c{}",
+            self.scheme.config(),
+            self.scheme.label(),
+            self.cores
+        )
+    }
+
+    fn cache_key(&self) -> u64 {
+        let work = (
+            "contend",
+            self.scheme.label(),
+            self.cores,
+            ITERATIONS,
+            DWORDS,
+            SLICE,
+            ARRIVAL_SPAN,
+        );
+        PointCache::key_debug(&[&self.scheme.config(), &work], self.seed)
+    }
+
+    fn encode(&self, out: &ContendOutcome, w: &mut SnapshotWriter) {
+        for v in [
+            out.payload_bytes,
+            out.cycles,
+            out.switches,
+            out.flush_failures,
+            out.cross_pid_resets,
+        ] {
+            w.put_u64(v);
+        }
+        put_histogram(w, out.flush.as_ref());
+    }
+
+    fn decode(&self, r: &mut SnapshotReader<'_>) -> Option<ContendOutcome> {
+        Some(ContendOutcome {
+            payload_bytes: r.take_u64().ok()?,
+            cycles: r.take_u64().ok()?,
+            switches: r.take_u64().ok()?,
+            flush_failures: r.take_u64().ok()?,
+            cross_pid_resets: r.take_u64().ok()?,
+            flush: take_histogram(r)?,
         })
-        .collect()
-}
+    }
 
-/// Runs one (scheme, cores, seed) point.
-fn run_point(
-    scheme: ContendScheme,
-    cores: usize,
-    seed: u64,
-    obs: ObsConfig,
-) -> Result<PointResult, ExpError> {
-    let t0 = std::time::Instant::now();
-    // Artifact-capturing points bypass the cache (see the runner module).
-    let cache = if obs.any() {
-        None
-    } else {
-        crate::cache::active()
-    };
-    let key = contend_point_key(scheme, cores, seed);
-    if let Some(cache) = &cache {
-        if let Some(payload) = cache.load(key) {
-            if let Some(mut cached) = decode_contend_payload(&payload) {
-                cache.note_hit();
-                cached.wall = t0.elapsed();
-                return Ok(cached);
-            }
-            cache.invalidate(key);
+    fn value(&self, out: &ContendOutcome) -> PointValue {
+        PointValue::Bandwidth(out.throughput())
+    }
+
+    /// Time-slices one [`MultiSim`] core, which owns its machine: the
+    /// worker's reusable slot is not used.
+    fn run(
+        &self,
+        _slot: &mut Option<Simulator>,
+        ctx: &RunCtx,
+    ) -> Result<Measured<ContendOutcome>, ExpError> {
+        let cfg = self.scheme.config();
+        let programs = self.programs(&cfg)?;
+        let mut ms = MultiSim::new(cfg, programs, SwitchPolicy::Fixed(SLICE))?;
+        ms.set_fast_forward(ctx.fast_forward);
+        ms.set_arrivals(&arrival_schedule(self.cores, ARRIVAL_SPAN, self.seed));
+        // The latency quantiles *are* the result, so metrics always record.
+        ms.enable_metrics();
+        if ctx.obs.trace {
+            ms.enable_tracing();
         }
+        let summary = ms.run(POINT_LIMIT)?;
+        let report = ms.simulator().metrics_report();
+        Ok(Measured {
+            out: ContendOutcome {
+                payload_bytes: ms.simulator().device().payload_bytes(),
+                cycles: summary.cycles,
+                switches: summary.switches,
+                flush_failures: summary.flush_failures,
+                cross_pid_resets: report.csb.cross_pid_resets,
+                flush: report.metrics.histograms.get(FLUSH_HISTOGRAM).cloned(),
+            },
+            sim_cycles: summary.cycles,
+            artifacts: super::runner::PointArtifacts {
+                trace_json: ctx.obs.trace.then(|| ms.simulator().chrome_trace()),
+                metrics: ctx.obs.metrics.then_some(report),
+            },
+        })
     }
-    let cfg = scheme.config();
-    let programs = programs(scheme, cores, &cfg)?;
-    let mut ms = MultiSim::new(cfg, programs, SwitchPolicy::Fixed(SLICE))?;
-    ms.set_arrivals(&arrival_schedule(cores, ARRIVAL_SPAN, seed));
-    // The latency quantiles *are* the result, so metrics always record.
-    ms.enable_metrics();
-    if obs.trace {
-        ms.enable_tracing();
-    }
-    let summary = ms.run(POINT_LIMIT)?;
-    let report = ms.simulator().metrics_report();
-    let result = PointResult {
-        payload_bytes: ms.simulator().device().payload_bytes(),
-        cycles: summary.cycles,
-        switches: summary.switches,
-        flush_failures: summary.flush_failures,
-        cross_pid_resets: report.csb.cross_pid_resets,
-        flush: report.metrics.histograms.get(FLUSH_HISTOGRAM).cloned(),
-        sim_cycles: summary.cycles,
-        wall: t0.elapsed(),
-        artifacts: PointArtifacts {
-            trace_json: obs.trace.then(|| ms.simulator().chrome_trace()),
-            metrics: obs.metrics.then_some(report),
-        },
-    };
-    if let Some(cache) = &cache {
-        cache.note_miss();
-        cache.store(key, &encode_contend_payload(&result));
-    }
-    Ok(result)
 }
 
-/// Runs the full sweep serially.
-///
-/// # Errors
-///
-/// Propagates the first failing point (livelock here is an error — the
-/// swept schemes are all progress-safe by construction).
-pub fn run() -> Result<ContendSweep, ExpError> {
-    Ok(run_jobs(1)?.0)
-}
-
-/// Runs the full sweep on `jobs` workers (`0` = all cores), with the
-/// engine's [`RunReport`].
-///
-/// # Errors
-///
-/// As for [`run`]; the lowest-indexed failing point wins.
-pub fn run_jobs(jobs: usize) -> Result<(ContendSweep, RunReport), ExpError> {
-    let (sweep, _, report) = run_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((sweep, report))
-}
-
-/// [`run_jobs`] with artifact capture: every seeded point runs with
-/// tracing and/or metrics per `obs` and returns one [`LabeledArtifacts`]
-/// per point (label `contend/c<cores>/<scheme>`, distinguished per seed
-/// by [`LabeledArtifacts::seed`]), in sweep-enumeration order.
-///
-/// # Errors
-///
-/// As for [`run_jobs`]; the lowest-indexed failing point wins.
-pub fn run_jobs_observed(
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(ContendSweep, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    let schemes = schemes();
+/// The sweep's points: cores-major, then scheme, then seed.
+pub(crate) fn points() -> Vec<ContendPoint> {
     let mut points = Vec::new();
     for (ci, &cores) in CORES.iter().enumerate() {
-        for (si, &scheme) in schemes.iter().enumerate() {
+        for (si, &scheme) in schemes().iter().enumerate() {
             for seed in 0..SEEDS_PER_CELL {
                 // Seeds differ per cell so no two cells share arrivals.
                 let seed = 0xc0de_0000 + (ci as u64) * 1_000 + (si as u64) * 100 + seed;
-                points.push((ci, si, scheme, cores, seed));
+                points.push(ContendPoint {
+                    scheme,
+                    cores,
+                    seed,
+                });
             }
         }
     }
-    let cache_before = crate::cache::active_stats();
-    let t0 = std::time::Instant::now();
-    let results = super::runner::parallel_map_with(
-        &points,
-        jobs,
-        || (),
-        |_, &(_, _, scheme, cores, seed)| run_point(scheme, cores, seed, obs),
-    );
-    let wall = t0.elapsed();
+    points
+}
 
-    let mut cells: Vec<Vec<Vec<PointResult>>> = vec![vec![Vec::new(); schemes.len()]; CORES.len()];
-    let mut report = RunReport {
-        jobs: if jobs == 0 {
-            super::runner::default_jobs()
-        } else {
-            jobs
-        },
-        points: points.len(),
-        wall,
-        capacity: wall * jobs.max(1) as u32,
-        ..RunReport::default()
-    };
-    let mut artifacts = Vec::with_capacity(points.len());
-    for (&(ci, si, scheme, cores, seed), result) in points.iter().zip(results) {
-        let r = result?;
-        report.busy += r.wall;
-        report.sim_cycles += r.sim_cycles;
-        if let Some(point_metrics) = &r.artifacts.metrics {
-            report
-                .metrics
-                .get_or_insert_with(Default::default)
-                .merge(&point_metrics.metrics);
-        }
-        artifacts.push(LabeledArtifacts {
-            label: format!("contend/c{cores}/{}", scheme.label()),
-            value: PointValue::Bandwidth(r.throughput()),
-            sim_cycles: r.sim_cycles,
-            wall: r.wall,
-            seed,
-            config_hash: csb_obs::hash_config(&format!(
-                "{:?} contend {} c{cores}",
-                scheme.config(),
-                scheme.label()
-            )),
-            artifacts: r.artifacts.clone(),
-        });
-        cells[ci][si].push(r);
-    }
-    if let (Some(before), Some(after)) = (cache_before, crate::cache::active_stats()) {
-        let delta = after.delta(&before);
-        if delta.any() {
-            report.cache = Some(delta);
-            let m = report.metrics.get_or_insert_with(Default::default);
-            m.counters.insert("cache.hit".to_string(), delta.hits);
-            m.counters.insert("cache.miss".to_string(), delta.misses);
-        }
-    }
-
-    let rows = CORES
-        .iter()
-        .enumerate()
-        .map(|(ci, &cores)| ContendRow {
-            cores,
-            cells: schemes
-                .iter()
-                .enumerate()
-                .map(|(si, &scheme)| {
-                    let rs = &cells[ci][si];
-                    let runs = rs.len().max(1) as f64;
-                    let flush = rs.iter().filter_map(|r| r.flush.as_ref()).fold(
-                        None::<HistogramSummary>,
-                        |acc, h| match acc {
-                            Some(mut s) => {
-                                s.merge(h);
-                                Some(s)
-                            }
-                            None => Some(h.clone()),
-                        },
-                    );
-                    ContendCell {
-                        scheme: scheme.label().to_string(),
-                        throughput: rs.iter().map(|r| r.throughput()).sum::<f64>() / runs,
-                        mean_cycles: rs.iter().map(|r| r.cycles).sum::<u64>() as f64 / runs,
-                        switches: rs.iter().map(|r| r.switches).sum(),
-                        flush_failures: rs.iter().map(|r| r.flush_failures).sum(),
-                        cross_pid_resets: rs.iter().map(|r| r.cross_pid_resets).sum(),
-                        flush,
-                    }
-                })
-                .collect(),
-        })
-        .collect();
-
-    Ok((
+/// Runs the full sweep: every seeded point runs through the engine
+/// (labels `contend/c<cores>/<scheme>`, distinguished per seed by
+/// [`LabeledArtifacts::seed`](super::runner::LabeledArtifacts::seed)),
+/// then each (cores, scheme) cell merges its seeds.
+///
+/// # Errors
+///
+/// Propagates the lowest-indexed failing point (livelock here is an
+/// error — the swept schemes are all progress-safe by construction).
+pub fn run(ctx: &RunCtx) -> Result<SweepOutput<ContendSweep>, ExpError> {
+    let schemes = schemes();
+    Ok(run_sweep(&points(), ctx)?.map(|outcomes| {
+        let mut cells = outcomes.chunks(SEEDS_PER_CELL as usize);
+        let rows = CORES
+            .iter()
+            .map(|&cores| ContendRow {
+                cores,
+                cells: schemes
+                    .iter()
+                    .map(|&scheme| {
+                        let rs = cells.next().expect("one cell per (cores, scheme)");
+                        let runs = rs.len().max(1) as f64;
+                        ContendCell {
+                            scheme: scheme.label().to_string(),
+                            throughput: rs.iter().map(|r| r.throughput()).sum::<f64>() / runs,
+                            mean_cycles: rs.iter().map(|r| r.cycles).sum::<u64>() as f64 / runs,
+                            switches: rs.iter().map(|r| r.switches).sum(),
+                            flush_failures: rs.iter().map(|r| r.flush_failures).sum(),
+                            cross_pid_resets: rs.iter().map(|r| r.cross_pid_resets).sum(),
+                            flush: merge_histograms(rs.iter().filter_map(|r| r.flush.as_ref())),
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
         ContendSweep {
             id: "contend".to_string(),
             title: format!(
@@ -567,15 +412,28 @@ pub fn run_jobs_observed(
             ),
             schemes: schemes.iter().map(|&s| s.label().to_string()).collect(),
             rows,
-        },
-        artifacts,
-        report,
-    ))
+        }
+    }))
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::runner::{decode_payload, encode_payload};
     use super::*;
+
+    fn run_point(
+        scheme: ContendScheme,
+        cores: usize,
+        seed: u64,
+    ) -> (ContendPoint, Measured<ContendOutcome>) {
+        let point = ContendPoint {
+            scheme,
+            cores,
+            seed,
+        };
+        let measured = point.run(&mut None, &RunCtx::default()).unwrap();
+        (point, measured)
+    }
 
     #[test]
     fn arrival_schedules_are_seeded_and_bounded() {
@@ -590,7 +448,7 @@ mod tests {
 
     #[test]
     fn csb_point_delivers_full_payload_and_tracks_interference() {
-        let r = run_point(ContendScheme::Csb, 4, 0xc0de_0000, ObsConfig::default()).unwrap();
+        let r = run_point(ContendScheme::Csb, 4, 0xc0de_0000).1.out;
         assert_eq!(
             r.payload_bytes,
             (4 * ITERATIONS * DWORDS * 8) as u64,
@@ -604,7 +462,7 @@ mod tests {
 
     #[test]
     fn lock_point_delivers_without_touching_the_csb() {
-        let r = run_point(ContendScheme::Lock, 4, 0xc0de_0000, ObsConfig::default()).unwrap();
+        let r = run_point(ContendScheme::Lock, 4, 0xc0de_0000).1.out;
         assert_eq!(r.payload_bytes, (4 * ITERATIONS * DWORDS * 8) as u64);
         assert!(r.flush.is_none(), "lock path never flushes the CSB");
         assert_eq!(r.cross_pid_resets, 0);
@@ -612,9 +470,14 @@ mod tests {
 
     #[test]
     fn payload_with_oversized_bucket_count_is_rejected() {
+        let point = ContendPoint {
+            scheme: ContendScheme::Csb,
+            cores: 4,
+            seed: 0,
+        };
         let mut w = csb_snap::SnapshotWriter::new();
-        w.put_tag("cnt");
-        for v in [512, 4_000, 3, 0, 0, 5_000] {
+        w.put_tag(ContendPoint::TAG);
+        for v in [5_000, 512, 4_000, 3, 0, 0] {
             w.put_u64(v);
         }
         w.put_bool(true);
@@ -622,18 +485,20 @@ mod tests {
             w.put_u64(v);
         }
         w.put_usize(1 << 60);
-        assert!(decode_contend_payload(&w.finish()).is_none());
+        assert!(decode_payload(&point, &w.finish()).is_none());
     }
 
     #[test]
     fn cached_point_round_trips_histogram_buckets() {
-        let live = run_point(ContendScheme::Csb, 4, 0xc0de_0001, ObsConfig::default()).unwrap();
-        let decoded =
-            decode_contend_payload(&encode_contend_payload(&live)).expect("payload decodes");
-        assert_eq!(decoded.payload_bytes, live.payload_bytes);
-        assert_eq!(decoded.cycles, live.cycles);
+        let (point, live) = run_point(ContendScheme::Csb, 4, 0xc0de_0001);
+        let (decoded, cycles) =
+            decode_payload(&point, &encode_payload(&point, &live.out, live.sim_cycles))
+                .expect("payload decodes");
+        assert_eq!(cycles, live.sim_cycles);
+        assert_eq!(decoded.payload_bytes, live.out.payload_bytes);
+        assert_eq!(decoded.cycles, live.out.cycles);
         assert_eq!(
-            decoded.flush, live.flush,
+            decoded.flush, live.out.flush,
             "quantiles re-derived from buckets must match the live summary"
         );
     }

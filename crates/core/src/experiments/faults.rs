@@ -19,12 +19,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use super::runner::{LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport};
+use super::runner::{run_sweep, Measured, PointValue, RunCtx, SweepOutput, SweepPoint};
 use super::{format_table, ExpError, DWORD_BYTES};
+use crate::cache::PointCache;
 use crate::config::SimConfig;
 use crate::sim::{SimError, Simulator};
 use crate::workloads::{self, RetryPolicy, MARK_END, MARK_START};
 use csb_faults::FaultConfig;
+use csb_snap::{SnapshotReader, SnapshotWriter};
 
 /// Fault rates swept (fraction of decisions that inject).
 pub const RATES: [f64; 6] = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9];
@@ -50,15 +52,6 @@ pub fn policies() -> Vec<RetryPolicy> {
             seed: 0, // replaced per point so actors de-synchronize
         },
     ]
-}
-
-/// Column label for one policy, including its budget.
-fn policy_label(p: RetryPolicy) -> String {
-    match p {
-        RetryPolicy::NaiveSpin => "naive-spin".to_string(),
-        RetryPolicy::Bounded { attempts } => format!("bounded-{attempts}"),
-        RetryPolicy::Backoff { attempts, .. } => format!("backoff-{attempts}"),
-    }
 }
 
 /// Aggregated outcomes of one (rate, policy) cell across its seeds.
@@ -158,289 +151,182 @@ impl FaultSweep {
     }
 }
 
+/// The fault schedule every sweep point with a nonzero `rate` runs under:
+/// flush disturbances at `rate`, bus errors and device NACKs at a quarter
+/// of it. Shared with the messaging sweep.
+pub(crate) fn fault_schedule(rate: f64, seed: u64) -> Option<FaultConfig> {
+    (rate > 0.0).then(|| {
+        FaultConfig::new(seed)
+            .flush_disturb_rate(rate)
+            .bus_error_rate(rate * 0.25)
+            .device_nack_rate(rate * 0.25)
+    })
+}
+
+/// One seeded (policy, rate) point of the sweep.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FaultPoint {
+    /// The policy as [`policies`] lists it; its backoff seed is replaced
+    /// by `seed` when the program is built.
+    policy: RetryPolicy,
+    rate: f64,
+    seed: u64,
+}
+
 /// Raw outcome of a single seeded run.
 #[derive(Debug, Clone)]
-struct PointResult {
+pub(crate) struct FaultOutcome {
     success: bool,
     livelock: bool,
     attempts: u64,
     latency: u64,
-    sim_cycles: u64,
-    wall: std::time::Duration,
-    artifacts: PointArtifacts,
 }
 
-/// The backoff policy carries the point seed so jitter differs per seed.
-fn policy_for_seed(policy: RetryPolicy, seed: u64) -> RetryPolicy {
-    match policy {
-        RetryPolicy::Backoff {
-            attempts,
-            base,
-            max,
-            ..
-        } => RetryPolicy::Backoff {
-            attempts,
-            base,
-            max,
-            seed,
-        },
-        other => other,
+impl SweepPoint for FaultPoint {
+    type Output = FaultOutcome;
+    const TAG: &'static str = "fpt";
+
+    fn label(&self) -> String {
+        format!(
+            "faults/r{:02}/{}",
+            (self.rate * 100.0).round() as u32,
+            self.policy.label()
+        )
     }
-}
 
-/// Runs one (policy, rate, seed) point through a reusable simulator slot.
-/// Content-address of one seeded fault point: machine configuration,
-/// workload parameters (dwords + per-seed policy), fault rate, and seed.
-fn fault_point_key(policy: RetryPolicy, rate: f64, seed: u64) -> u64 {
-    let cfg = format!("{:?}", SimConfig::default());
-    let work = format!(
-        "faults {DWORDS}dw {:?} rate {:016x}",
-        policy_for_seed(policy, seed),
-        rate.to_bits()
-    );
-    crate::cache::PointCache::key(&[cfg.as_bytes(), work.as_bytes(), &seed.to_le_bytes()])
-}
+    fn seed(&self) -> u64 {
+        self.seed
+    }
 
-fn encode_fault_payload(r: &PointResult) -> Vec<u8> {
-    let mut w = csb_snap::SnapshotWriter::new();
-    w.put_tag("fpt");
-    w.put_bool(r.success);
-    w.put_bool(r.livelock);
-    w.put_u64(r.attempts);
-    w.put_u64(r.latency);
-    w.put_u64(r.sim_cycles);
-    w.finish()
-}
+    fn config_text(&self) -> String {
+        format!(
+            "{:?} {:?} rate {}",
+            SimConfig::default(),
+            self.policy,
+            self.rate
+        )
+    }
 
-fn decode_fault_payload(bytes: &[u8]) -> Option<PointResult> {
-    let mut r = csb_snap::SnapshotReader::new(bytes);
-    r.take_tag("fpt").ok()?;
-    let success = r.take_bool().ok()?;
-    let livelock = r.take_bool().ok()?;
-    let attempts = r.take_u64().ok()?;
-    let latency = r.take_u64().ok()?;
-    let sim_cycles = r.take_u64().ok()?;
-    let _checksum = r.take_u64().ok()?;
-    r.expect_end("cached fault point payload").ok()?;
-    Some(PointResult {
-        success,
-        livelock,
-        attempts,
-        latency,
-        sim_cycles,
-        wall: std::time::Duration::ZERO,
-        artifacts: PointArtifacts::default(),
-    })
-}
+    fn cache_key(&self) -> u64 {
+        let work = (
+            "faults",
+            DWORDS,
+            self.policy.with_seed(self.seed),
+            self.rate.to_bits(),
+        );
+        PointCache::key_debug(&[&SimConfig::default(), &work], self.seed)
+    }
 
-fn run_point(
-    slot: &mut Option<Simulator>,
-    policy: RetryPolicy,
-    rate: f64,
-    seed: u64,
-    obs: ObsConfig,
-) -> Result<PointResult, ExpError> {
-    let t0 = std::time::Instant::now();
-    // Artifact-capturing points bypass the cache (see the runner module).
-    let cache = if obs.any() {
-        None
-    } else {
-        crate::cache::active()
-    };
-    let key = fault_point_key(policy, rate, seed);
-    if let Some(cache) = &cache {
-        if let Some(payload) = cache.load(key) {
-            if let Some(mut cached) = decode_fault_payload(&payload) {
-                cache.note_hit();
-                cached.wall = t0.elapsed();
-                return Ok(cached);
-            }
-            cache.invalidate(key);
+    fn encode(&self, out: &FaultOutcome, w: &mut SnapshotWriter) {
+        w.put_bool(out.success);
+        w.put_bool(out.livelock);
+        w.put_u64(out.attempts);
+        w.put_u64(out.latency);
+    }
+
+    fn decode(&self, r: &mut SnapshotReader<'_>) -> Option<FaultOutcome> {
+        Some(FaultOutcome {
+            success: r.take_bool().ok()?,
+            livelock: r.take_bool().ok()?,
+            attempts: r.take_u64().ok()?,
+            latency: r.take_u64().ok()?,
+        })
+    }
+
+    fn value(&self, out: &FaultOutcome) -> PointValue {
+        PointValue::Latency(out.latency)
+    }
+
+    fn run(
+        &self,
+        slot: &mut Option<Simulator>,
+        ctx: &RunCtx,
+    ) -> Result<Measured<FaultOutcome>, ExpError> {
+        let cfg = SimConfig::default();
+        let program =
+            workloads::csb_sequence_with_policy(DWORDS, self.policy.with_seed(self.seed), &cfg)?;
+        let sim = ctx.install(slot, cfg, program)?;
+        if let Some(faults) = fault_schedule(self.rate, self.seed) {
+            sim.set_faults(Some(faults));
         }
+        ctx.obs.enable(sim);
+        let (summary, livelock) = match sim.run(POINT_LIMIT) {
+            Ok(summary) => (summary, false),
+            Err(SimError::Livelock(_)) => (sim.summary(), true),
+            Err(e) => return Err(e.into()),
+        };
+        let delivered = sim.device().payload_bytes() == (DWORDS * DWORD_BYTES) as u64;
+        let latency = summary.cpu.mark_interval(MARK_START, MARK_END);
+        Ok(Measured {
+            out: FaultOutcome {
+                success: !livelock && delivered && latency.is_some(),
+                livelock,
+                attempts: summary.csb.flush_successes + summary.csb.flush_failures,
+                latency: latency.unwrap_or(0),
+            },
+            sim_cycles: summary.cycles,
+            artifacts: ctx.obs.capture(sim),
+        })
     }
-    let cfg = SimConfig::default();
-    let program = workloads::csb_sequence_with_policy(DWORDS, policy_for_seed(policy, seed), &cfg)?;
-    let sim = super::install_sim(slot, cfg, program)?;
-    if rate > 0.0 {
-        sim.set_faults(Some(
-            FaultConfig::new(seed)
-                .flush_disturb_rate(rate)
-                .bus_error_rate(rate * 0.25)
-                .device_nack_rate(rate * 0.25),
-        ));
-    }
-    if obs.trace {
-        sim.enable_tracing();
-    }
-    if obs.metrics {
-        sim.enable_metrics();
-    }
-    let (summary, livelock) = match sim.run(POINT_LIMIT) {
-        Ok(summary) => (summary, false),
-        Err(SimError::Livelock(_)) => (sim.summary(), true),
-        Err(e) => return Err(e.into()),
-    };
-    let delivered = sim.device().payload_bytes() == (DWORDS * DWORD_BYTES) as u64;
-    let latency = summary.cpu.mark_interval(MARK_START, MARK_END);
-    let result = PointResult {
-        success: !livelock && delivered && latency.is_some(),
-        livelock,
-        attempts: summary.csb.flush_successes + summary.csb.flush_failures,
-        latency: latency.unwrap_or(0),
-        sim_cycles: summary.cycles,
-        wall: t0.elapsed(),
-        artifacts: PointArtifacts {
-            trace_json: obs.trace.then(|| sim.chrome_trace()),
-            metrics: obs.metrics.then(|| sim.metrics_report()),
-        },
-    };
-    if let Some(cache) = &cache {
-        cache.note_miss();
-        cache.store(key, &encode_fault_payload(&result));
-    }
-    Ok(result)
 }
 
-/// Runs the full sweep serially.
-///
-/// # Errors
-///
-/// Propagates the first point that fails for a reason other than the
-/// expected fault outcomes (livelock and give-up are *results*, not
-/// errors).
-pub fn run() -> Result<FaultSweep, ExpError> {
-    Ok(run_jobs(1)?.0)
-}
-
-/// Runs the full sweep on `jobs` workers (`0` = all cores), with the
-/// engine's [`RunReport`].
-///
-/// # Errors
-///
-/// As for [`run`]; the lowest-indexed failing point wins.
-pub fn run_jobs(jobs: usize) -> Result<(FaultSweep, RunReport), ExpError> {
-    let (sweep, _, report) = run_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((sweep, report))
-}
-
-/// [`run_jobs`] with artifact capture: every seeded point runs with
-/// tracing and/or metrics enabled per `obs` and returns one
-/// [`LabeledArtifacts`] per point (label `faults/r<rate%>/<policy>`,
-/// distinguished per seed by [`LabeledArtifacts::seed`]), in
-/// sweep-enumeration order —
-/// the same per-point artifact contract as the figure harnesses.
-///
-/// # Errors
-///
-/// As for [`run_jobs`]; the lowest-indexed failing point wins.
-pub fn run_jobs_observed(
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(FaultSweep, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    let policies = policies();
+/// The sweep's points, rate-major, then policy, then seed.
+fn points() -> Vec<FaultPoint> {
     let mut points = Vec::new();
     for (ri, &rate) in RATES.iter().enumerate() {
-        for (pi, &policy) in policies.iter().enumerate() {
+        for (pi, &policy) in policies().iter().enumerate() {
             for seed in 0..SEEDS_PER_CELL {
                 // Seeds differ per cell so no two cells share a schedule.
                 let seed = 0x5eed_0000 + (ri as u64) * 1_000 + (pi as u64) * 100 + seed;
-                points.push((ri, pi, policy, rate, seed));
+                points.push(FaultPoint { policy, rate, seed });
             }
         }
     }
-    let cache_before = crate::cache::active_stats();
-    let t0 = std::time::Instant::now();
-    let results = super::runner::parallel_map_with(
-        &points,
-        jobs,
-        || None,
-        |slot, &(_, _, policy, rate, seed)| run_point(slot, policy, rate, seed, obs),
-    );
-    let wall = t0.elapsed();
+    points
+}
 
-    let mut cells: Vec<Vec<Vec<PointResult>>> = vec![vec![Vec::new(); policies.len()]; RATES.len()];
-    let mut report = RunReport {
-        jobs: if jobs == 0 {
-            super::runner::default_jobs()
-        } else {
-            jobs
-        },
-        points: points.len(),
-        wall,
-        capacity: wall * jobs.max(1) as u32,
-        ..RunReport::default()
-    };
-    let mut artifacts = Vec::with_capacity(points.len());
-    for (&(ri, pi, policy, rate, seed), result) in points.iter().zip(results) {
-        let r = result?;
-        report.busy += r.wall;
-        report.sim_cycles += r.sim_cycles;
-        if let Some(point_metrics) = &r.artifacts.metrics {
-            report
-                .metrics
-                .get_or_insert_with(Default::default)
-                .merge(&point_metrics.metrics);
-        }
-        artifacts.push(LabeledArtifacts {
-            label: format!(
-                "faults/r{:02}/{}",
-                (rate * 100.0).round() as u32,
-                policy_label(policy)
-            ),
-            value: PointValue::Latency(r.latency),
-            sim_cycles: r.sim_cycles,
-            wall: r.wall,
-            seed,
-            config_hash: csb_obs::hash_config(&format!(
-                "{:?} {policy:?} rate {rate}",
-                SimConfig::default()
-            )),
-            artifacts: r.artifacts.clone(),
-        });
-        cells[ri][pi].push(r);
-    }
-    if let (Some(before), Some(after)) = (cache_before, crate::cache::active_stats()) {
-        let delta = after.delta(&before);
-        if delta.any() {
-            report.cache = Some(delta);
-            let m = report.metrics.get_or_insert_with(Default::default);
-            m.counters.insert("cache.hit".to_string(), delta.hits);
-            m.counters.insert("cache.miss".to_string(), delta.misses);
-        }
-    }
-
-    let rows = RATES
-        .iter()
-        .enumerate()
-        .map(|(ri, &rate)| FaultRow {
-            rate,
-            cells: policies
-                .iter()
-                .enumerate()
-                .map(|(pi, &policy)| {
-                    let rs = &cells[ri][pi];
-                    let successes = rs.iter().filter(|r| r.success).count() as u64;
-                    let latencies: Vec<u64> =
-                        rs.iter().filter(|r| r.success).map(|r| r.latency).collect();
-                    FaultCell {
-                        policy: policy_label(policy),
-                        successes,
-                        livelocks: rs.iter().filter(|r| r.livelock).count() as u64,
-                        runs: rs.len() as u64,
-                        mean_attempts: rs.iter().map(|r| r.attempts).sum::<u64>() as f64
-                            / rs.len().max(1) as f64,
-                        mean_latency: if latencies.is_empty() {
-                            0.0
-                        } else {
-                            latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
-                        },
-                    }
-                })
-                .collect(),
-        })
-        .collect();
-
-    Ok((
+/// Runs the full sweep: every seeded point runs through the engine
+/// (labels `faults/r<rate%>/<policy>`, distinguished per seed by
+/// [`LabeledArtifacts::seed`](super::runner::LabeledArtifacts::seed)),
+/// then each (rate, policy) cell aggregates its seeds.
+///
+/// # Errors
+///
+/// Propagates the lowest-indexed point that fails for a reason other than
+/// the expected fault outcomes (livelock and give-up are *results*, not
+/// errors).
+pub fn run(ctx: &RunCtx) -> Result<SweepOutput<FaultSweep>, ExpError> {
+    let policies = policies();
+    Ok(run_sweep(&points(), ctx)?.map(|outcomes| {
+        let mut cells = outcomes.chunks(SEEDS_PER_CELL as usize);
+        let rows = RATES
+            .iter()
+            .map(|&rate| FaultRow {
+                rate,
+                cells: policies
+                    .iter()
+                    .map(|&policy| {
+                        let rs = cells.next().expect("one cell per (rate, policy)");
+                        let successes = rs.iter().filter(|r| r.success).count() as u64;
+                        let latencies: Vec<u64> =
+                            rs.iter().filter(|r| r.success).map(|r| r.latency).collect();
+                        FaultCell {
+                            policy: policy.label(),
+                            successes,
+                            livelocks: rs.iter().filter(|r| r.livelock).count() as u64,
+                            runs: rs.len() as u64,
+                            mean_attempts: rs.iter().map(|r| r.attempts).sum::<u64>() as f64
+                                / rs.len().max(1) as f64,
+                            mean_latency: if latencies.is_empty() {
+                                0.0
+                            } else {
+                                latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
+                            },
+                        }
+                    })
+                    .collect(),
+            })
+            .collect();
         FaultSweep {
             id: "faults".to_string(),
             title: format!(
@@ -448,23 +334,33 @@ pub fn run_jobs_observed(
                  {SEEDS_PER_CELL} seeds/cell, disturb rate swept \
                  (bus errors and NACKs at rate/4)"
             ),
-            policies: policies.iter().map(|&p| policy_label(p)).collect(),
+            policies: policies.iter().map(|&p| p.label()).collect(),
             rows,
-        },
-        artifacts,
-        report,
-    ))
+        }
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn run_point(
+        slot: &mut Option<Simulator>,
+        policy: RetryPolicy,
+        rate: f64,
+        seed: u64,
+    ) -> FaultOutcome {
+        FaultPoint { policy, rate, seed }
+            .run(slot, &RunCtx::default())
+            .unwrap()
+            .out
+    }
+
     #[test]
     fn zero_rate_always_succeeds() {
         let mut slot = None;
         for (i, &policy) in policies().iter().enumerate() {
-            let r = run_point(&mut slot, policy, 0.0, 7 + i as u64, ObsConfig::default()).unwrap();
+            let r = run_point(&mut slot, policy, 0.0, 7 + i as u64);
             assert!(r.success, "{}: zero-fault run must succeed", i);
             assert!(!r.livelock);
             assert_eq!(r.attempts, 1, "no retries without faults");
@@ -474,14 +370,7 @@ mod tests {
     #[test]
     fn bounded_policy_gives_up_under_total_disturbance() {
         let mut slot = None;
-        let r = run_point(
-            &mut slot,
-            RetryPolicy::Bounded { attempts: 4 },
-            0.9,
-            3,
-            ObsConfig::default(),
-        )
-        .unwrap();
+        let r = run_point(&mut slot, RetryPolicy::Bounded { attempts: 4 }, 0.9, 3);
         // Seed 3 at rate 0.9: not guaranteed to fault 4 times in a row,
         // so assert only the structural invariant — a failed bounded run
         // halts cleanly instead of livelocking.
@@ -502,17 +391,14 @@ mod tests {
             for &rate in &[0.0, 0.5, 0.9] {
                 let mut successes = 0;
                 for seed in 0..8 {
-                    if run_point(&mut slot, policy, rate, 100 + seed, ObsConfig::default())
-                        .unwrap()
-                        .success
-                    {
+                    if run_point(&mut slot, policy, rate, 100 + seed).success {
                         successes += 1;
                     }
                 }
                 assert!(
                     successes <= prev_successes,
                     "{}: successes rose from {prev_successes} to {successes}",
-                    policy_label(policy)
+                    policy.label()
                 );
                 prev_successes = successes;
             }

@@ -11,16 +11,10 @@
 //! the whole hierarchy (100-cycle miss latency), modeling a lock recently
 //! taken by another processor.
 
-use csb_isa::Addr;
-
-use super::runner::{
-    run_latency_panels, run_latency_panels_observed, LabeledArtifacts, LatencyPanelSpec, ObsConfig,
-    PointArtifacts, RunReport,
-};
-use super::{ExpError, LatencyPanel, Scheme};
-use crate::config::{SimConfig, LOCK_ADDR};
-use crate::sim::Simulator;
-use crate::workloads::{self, MARK_END, MARK_START};
+use super::runner::{run_panels, LatencyPanelSpec, PointSpec, PointWork, RunCtx, SweepOutput};
+use super::{ExpError, LatencyPanel, Scheme, POINT_LIMIT};
+use crate::config::SimConfig;
+use crate::workloads;
 
 /// Doubleword counts swept (2–8, i.e. 16–64 bytes).
 pub const DWORDS: [usize; 7] = [2, 3, 4, 5, 6, 7, 8];
@@ -47,71 +41,28 @@ pub fn latency_point(
     scheme: Scheme,
     residency: LockResidency,
 ) -> Result<u64, ExpError> {
-    latency_point_instrumented(cfg, dwords, scheme, residency).map(|(lat, _)| lat)
-}
-
-/// [`latency_point`] plus the simulated cycle count, for the runner's
-/// `RunReport` instrumentation.
-pub(crate) fn latency_point_instrumented(
-    cfg: &SimConfig,
-    dwords: usize,
-    scheme: Scheme,
-    residency: LockResidency,
-) -> Result<(u64, u64), ExpError> {
-    latency_point_observed(cfg, dwords, scheme, residency, ObsConfig::default())
-        .map(|(lat, cycles, _)| (lat, cycles))
-}
-
-/// [`latency_point`] with observability: returns the latency, the simulated
-/// cycle count, and whatever artifacts [`ObsConfig`] asked for.
-///
-/// # Errors
-///
-/// As for [`latency_point`].
-pub fn latency_point_observed(
-    cfg: &SimConfig,
-    dwords: usize,
-    scheme: Scheme,
-    residency: LockResidency,
-    obs: ObsConfig,
-) -> Result<(u64, u64, PointArtifacts), ExpError> {
-    latency_point_reusing(&mut None, cfg, dwords, scheme, residency, obs)
-}
-
-/// [`latency_point_observed`] through a reusable simulator slot: an empty
-/// slot is filled by cold construction, a filled one is warm-reset via
-/// [`Simulator::reset_with`] — either way the measurement is identical.
-/// The sweep engine hands each worker one slot for its whole point queue.
-pub(crate) fn latency_point_reusing(
-    slot: &mut Option<Simulator>,
-    cfg: &SimConfig,
-    dwords: usize,
-    scheme: Scheme,
-    residency: LockResidency,
-    obs: ObsConfig,
-) -> Result<(u64, u64, PointArtifacts), ExpError> {
-    let sim = latency_sim_into(slot, cfg, dwords, scheme, residency)?;
-    if obs.trace {
-        sim.enable_tracing();
-    }
-    if obs.metrics {
-        sim.enable_metrics();
-    }
-    let summary = sim.run(50_000_000)?;
-    let latency = summary
-        .cpu
-        .mark_interval(MARK_START, MARK_END)
-        .ok_or(ExpError::MissingMark)?;
-    let artifacts = PointArtifacts {
-        trace_json: obs.trace.then(|| sim.chrome_trace()),
-        metrics: obs.metrics.then(|| sim.metrics_report()),
+    let spec = PointSpec {
+        label: String::new(),
+        cfg: cfg.clone(),
+        work: PointWork::Latency {
+            dwords,
+            scheme,
+            residency,
+        },
     };
-    Ok((latency, summary.cycles, artifacts))
+    let mut slot = None;
+    let summary = spec
+        .install(&mut slot, &RunCtx::default())?
+        .run(POINT_LIMIT)?;
+    Ok(spec
+        .measure(&summary)?
+        .latency()
+        .expect("latency points measure latency"))
 }
 
 /// The scheme-specialized machine configuration and lock/CSB sequence for
 /// one latency point.
-fn latency_parts(
+pub(crate) fn latency_parts(
     cfg: &SimConfig,
     dwords: usize,
     scheme: Scheme,
@@ -140,42 +91,6 @@ fn latency_parts(
     })
 }
 
-/// Builds the ready-to-run simulator for one latency point: the
-/// scheme-specialized machine, the lock/CSB sequence, and the lock line
-/// warmed or evicted per `residency` — not yet run. The cold half of the
-/// warm-vs-cold differential tests; production paths go through
-/// [`latency_sim_into`].
-#[cfg(test)]
-pub(crate) fn latency_sim(
-    cfg: &SimConfig,
-    dwords: usize,
-    scheme: Scheme,
-    residency: LockResidency,
-) -> Result<Simulator, ExpError> {
-    let mut slot = None;
-    latency_sim_into(&mut slot, cfg, dwords, scheme, residency)?;
-    Ok(slot.expect("slot was just filled"))
-}
-
-/// [`latency_sim`] into a reusable slot (see [`super::install_sim`]). The
-/// residency preparation (line warm/evict) runs after the reset, exactly
-/// as it runs after a cold construction.
-pub(crate) fn latency_sim_into<'a>(
-    slot: &'a mut Option<Simulator>,
-    cfg: &SimConfig,
-    dwords: usize,
-    scheme: Scheme,
-    residency: LockResidency,
-) -> Result<&'a mut Simulator, ExpError> {
-    let (cfg, program) = latency_parts(cfg, dwords, scheme)?;
-    let sim = super::install_sim(slot, cfg, program)?;
-    match residency {
-        LockResidency::Hit => sim.warm_line(Addr::new(LOCK_ADDR)),
-        LockResidency::Miss => sim.evict_line(Addr::new(LOCK_ADDR)),
-    }
-    Ok(sim)
-}
-
 /// The declarative panel spec for one residency on the given machine.
 pub fn panel_spec(cfg: &SimConfig, residency: LockResidency) -> LatencyPanelSpec {
     let (id, title) = match residency {
@@ -200,50 +115,13 @@ pub fn panel_specs() -> Vec<LatencyPanelSpec> {
     ]
 }
 
-/// Runs one panel across [`DWORDS`] and the scheme ladder, serially.
-///
-/// # Errors
-///
-/// Propagates the first failing point.
-pub fn panel(cfg: &SimConfig, residency: LockResidency) -> Result<LatencyPanel, ExpError> {
-    let spec = panel_spec(cfg, residency);
-    let (panels, _) = run_latency_panels(std::slice::from_ref(&spec), 1)?;
-    Ok(panels
-        .into_iter()
-        .next()
-        .expect("one spec yields one panel"))
-}
-
-/// Runs both panels on the paper's default machine, serially.
-///
-/// # Errors
-///
-/// Propagates the first failing point.
-pub fn run() -> Result<Vec<LatencyPanel>, ExpError> {
-    Ok(run_jobs(1)?.0)
-}
-
-/// Runs both panels on `jobs` workers (`0` = all cores), with the sweep's
-/// [`RunReport`].
+/// Runs both panels on the paper's default machine as one sweep.
 ///
 /// # Errors
 ///
 /// Propagates the first failing point, lowest point index first.
-pub fn run_jobs(jobs: usize) -> Result<(Vec<LatencyPanel>, RunReport), ExpError> {
-    run_latency_panels(&panel_specs(), jobs)
-}
-
-/// [`run_jobs`] with artifact capture: also returns one
-/// [`LabeledArtifacts`] per simulation point, in enumeration order.
-///
-/// # Errors
-///
-/// Propagates the first failing point, lowest point index first.
-pub fn run_jobs_observed(
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(Vec<LatencyPanel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    run_latency_panels_observed(&panel_specs(), jobs, obs)
+pub fn run(ctx: &RunCtx) -> Result<SweepOutput<Vec<LatencyPanel>>, ExpError> {
+    run_panels(&panel_specs(), ctx)
 }
 
 #[cfg(test)]

@@ -34,18 +34,20 @@
 //!   ordinals to the same schedule — per seed, the delivered count can
 //!   only fall as the rate rises.
 
-use std::time::Duration;
-
 use serde::Serialize;
 
-use super::runner::{LabeledArtifacts, ObsConfig, PointArtifacts, PointValue, RunReport};
-use super::{format_table, ExpError};
+use super::runner::{
+    merge_histograms, put_histogram, run_sweep, take_histogram, Measured, PointValue, RunCtx,
+    SweepOutput, SweepPoint,
+};
+use super::{faults, format_table, ExpError};
+use crate::cache::PointCache;
 use crate::config::{SimConfig, COMBINING_BASE, UNCACHED_BASE};
 use crate::sim::{SimError, Simulator};
 use crate::workloads::{self, MessagingSpec, RetryPolicy};
-use csb_faults::FaultConfig;
 use csb_isa::Addr;
-use csb_obs::{BucketCount, HistogramSummary};
+use csb_obs::HistogramSummary;
+use csb_snap::{SnapshotReader, SnapshotWriter};
 
 /// Fault rates swept (flush-disturb fraction; bus errors and device NACKs
 /// run at a quarter of it). Seeds are shared across this axis so each
@@ -118,16 +120,6 @@ impl SendPath {
     }
 }
 
-/// Column label for one policy, including its budget (mirrors the fault
-/// sweep's labels).
-fn policy_label(p: RetryPolicy) -> String {
-    match p {
-        RetryPolicy::NaiveSpin => "naive-spin".to_string(),
-        RetryPolicy::Bounded { attempts } => format!("bounded-{attempts}"),
-        RetryPolicy::Backoff { attempts, .. } => format!("backoff-{attempts}"),
-    }
-}
-
 /// Aggregated outcomes of one (path, size, rate, policy) cell across its
 /// seeds.
 #[derive(Debug, Clone, Serialize)]
@@ -184,7 +176,7 @@ pub struct MessagingRow {
     pub bytes: usize,
     /// Flush-disturb injection rate.
     pub rate: f64,
-    /// One cell per policy, in [`super::faults::policies`] order.
+    /// One cell per policy, in [`faults::policies`] order.
     pub cells: Vec<MessagingCell>,
 }
 
@@ -258,73 +250,6 @@ impl MessagingSweep {
     }
 }
 
-/// Raw outcome of a single seeded run.
-#[derive(Debug, Clone)]
-struct PointResult {
-    delivered: u64,
-    torn: u64,
-    duplicates: u64,
-    dropped: u64,
-    corrupt: u64,
-    livelock: bool,
-    e2e: Option<HistogramSummary>,
-    sim_cycles: u64,
-    wall: Duration,
-    artifacts: PointArtifacts,
-}
-
-/// A summary with re-derived quantiles from raw bucket counts (see the
-/// contention sweep: merging into an empty summary runs the estimator).
-fn summary_from_buckets(
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-    buckets: Vec<BucketCount>,
-) -> HistogramSummary {
-    let mut s = HistogramSummary {
-        count: 0,
-        sum: 0,
-        min: 0,
-        max: 0,
-        p50: 0,
-        p95: 0,
-        p99: 0,
-        p999: 0,
-        buckets: Vec::new(),
-    };
-    s.merge(&HistogramSummary {
-        count,
-        sum,
-        min,
-        max,
-        p50: 0,
-        p95: 0,
-        p99: 0,
-        p999: 0,
-        buckets,
-    });
-    s
-}
-
-/// The backoff policy carries the point seed so jitter differs per seed.
-fn policy_for_seed(policy: RetryPolicy, seed: u64) -> RetryPolicy {
-    match policy {
-        RetryPolicy::Backoff {
-            attempts,
-            base,
-            max,
-            ..
-        } => RetryPolicy::Backoff {
-            attempts,
-            base,
-            max,
-            seed,
-        },
-        other => other,
-    }
-}
-
 /// The message stream every point sends.
 fn spec(size: usize) -> MessagingSpec {
     MessagingSpec {
@@ -335,416 +260,289 @@ fn spec(size: usize) -> MessagingSpec {
     }
 }
 
-/// Content-address of one seeded messaging point: machine configuration,
-/// send path, message shape, per-seed policy, fault rate, and seed.
-fn messaging_point_key(
-    path: SendPath,
-    size: usize,
-    policy: RetryPolicy,
-    rate: f64,
-    seed: u64,
-) -> u64 {
-    let cfg = format!("{:?}", path.config());
-    let work = format!(
-        "messaging {} {MESSAGES}x{size}dw s{SLOTS} {:?} rate {:016x}",
-        path.label(),
-        policy_for_seed(policy, seed),
-        rate.to_bits()
-    );
-    crate::cache::PointCache::key(&[cfg.as_bytes(), work.as_bytes(), &seed.to_le_bytes()])
+/// One seeded (path, size, policy, rate) point of the sweep.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MessagingPoint {
+    pub(crate) path: SendPath,
+    pub(crate) size: usize,
+    /// The policy as [`faults::policies`] lists it; its backoff seed is
+    /// replaced by `seed` when the program is built.
+    pub(crate) policy: RetryPolicy,
+    pub(crate) rate: f64,
+    pub(crate) seed: u64,
 }
 
-fn encode_messaging_payload(r: &PointResult) -> Vec<u8> {
-    let mut w = csb_snap::SnapshotWriter::new();
-    w.put_tag("msg");
-    w.put_u64(r.delivered);
-    w.put_u64(r.torn);
-    w.put_u64(r.duplicates);
-    w.put_u64(r.dropped);
-    w.put_u64(r.corrupt);
-    w.put_bool(r.livelock);
-    w.put_u64(r.sim_cycles);
-    // Raw histogram bucket counts, so a cached cell merges across seeds
-    // exactly like a live one (quantiles are re-derived on decode).
-    match &r.e2e {
-        Some(h) => {
-            w.put_bool(true);
-            w.put_u64(h.count);
-            w.put_u64(h.sum);
-            w.put_u64(h.min);
-            w.put_u64(h.max);
-            w.put_usize(h.buckets.len());
-            for b in &h.buckets {
-                w.put_u64(b.le);
-                w.put_u64(b.n);
+/// Raw outcome of a single seeded run.
+#[derive(Debug, Clone)]
+pub(crate) struct MessagingOutcome {
+    delivered: u64,
+    torn: u64,
+    duplicates: u64,
+    dropped: u64,
+    corrupt: u64,
+    livelock: bool,
+    e2e: Option<HistogramSummary>,
+}
+
+impl MessagingPoint {
+    /// Readies the point in a reusable simulator slot: the sender program,
+    /// the attached NI, the fault schedule, and metrics (the end-to-end
+    /// quantiles *are* the result, so they always record).
+    pub(crate) fn install<'a>(
+        &self,
+        slot: &'a mut Option<Simulator>,
+        ctx: &RunCtx,
+    ) -> Result<&'a mut Simulator, ExpError> {
+        let cfg = self.path.config();
+        let seeded = self.policy.with_seed(self.seed);
+        let program = match self.path {
+            SendPath::Lock => workloads::lock_messages(spec(self.size), seeded, &cfg)?,
+            SendPath::Csb | SendPath::CsbDouble => {
+                workloads::csb_messages(spec(self.size), seeded, &cfg)?
+            }
+        };
+        let nic_cfg = csb_nic::NicConfig {
+            slot_size: cfg.line(),
+            slots: SLOTS,
+            ..csb_nic::NicConfig::default()
+        };
+        let sim = ctx.install(slot, cfg, program)?;
+        sim.attach_nic(nic_cfg, Addr::new(self.path.window_base()))?;
+        if let Some(faults) = faults::fault_schedule(self.rate, self.seed) {
+            sim.set_faults(Some(faults));
+        }
+        sim.enable_metrics();
+        Ok(sim)
+    }
+}
+
+impl SweepPoint for MessagingPoint {
+    type Output = MessagingOutcome;
+    const TAG: &'static str = "msg";
+
+    fn label(&self) -> String {
+        format!(
+            "messaging/{}/{}B/r{:02}/{}",
+            self.path.label(),
+            self.size * 8,
+            (self.rate * 100.0).round() as u32,
+            self.policy.label()
+        )
+    }
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn config_text(&self) -> String {
+        format!(
+            "{:?} messaging {} {}B {:?} rate {}",
+            self.path.config(),
+            self.path.label(),
+            self.size * 8,
+            self.policy,
+            self.rate
+        )
+    }
+
+    fn cache_key(&self) -> u64 {
+        let work = (
+            "messaging",
+            self.path.label(),
+            MESSAGES,
+            self.size,
+            SLOTS,
+            self.policy.with_seed(self.seed),
+            self.rate.to_bits(),
+        );
+        PointCache::key_debug(&[&self.path.config(), &work], self.seed)
+    }
+
+    fn encode(&self, out: &MessagingOutcome, w: &mut SnapshotWriter) {
+        for v in [
+            out.delivered,
+            out.torn,
+            out.duplicates,
+            out.dropped,
+            out.corrupt,
+        ] {
+            w.put_u64(v);
+        }
+        w.put_bool(out.livelock);
+        put_histogram(w, out.e2e.as_ref());
+    }
+
+    fn decode(&self, r: &mut SnapshotReader<'_>) -> Option<MessagingOutcome> {
+        Some(MessagingOutcome {
+            delivered: r.take_u64().ok()?,
+            torn: r.take_u64().ok()?,
+            duplicates: r.take_u64().ok()?,
+            dropped: r.take_u64().ok()?,
+            corrupt: r.take_u64().ok()?,
+            livelock: r.take_bool().ok()?,
+            e2e: take_histogram(r)?,
+        })
+    }
+
+    fn value(&self, out: &MessagingOutcome) -> PointValue {
+        PointValue::Bandwidth(out.delivered as f64 / MESSAGES as f64)
+    }
+
+    fn run(
+        &self,
+        slot: &mut Option<Simulator>,
+        ctx: &RunCtx,
+    ) -> Result<Measured<MessagingOutcome>, ExpError> {
+        let sim = self.install(slot, ctx)?;
+        if ctx.obs.trace {
+            sim.enable_tracing();
+        }
+        let livelock = match sim.run(POINT_LIMIT) {
+            Ok(_) => false,
+            Err(SimError::Livelock(_)) => true,
+            Err(e) => return Err(e.into()),
+        };
+        let sim_cycles = sim.summary().cycles;
+        let report = sim.metrics_report();
+        let nic = sim.nic().expect("NIC attached above");
+        // Receive-side seq accounting: first intact copy of each expected seq
+        // is a delivery, repeats are duplicates, the rest of the expected
+        // window is dropped.
+        let mut seen = [false; MESSAGES];
+        let mut delivered = 0u64;
+        let mut duplicates = 0u64;
+        let mut corrupt = 0u64;
+        for m in nic.messages() {
+            let sq = m.seq as usize;
+            if m.sender != SENDER || sq >= MESSAGES {
+                corrupt += 1;
+                continue;
+            }
+            if seen[sq] {
+                duplicates += 1;
+                continue;
+            }
+            seen[sq] = true;
+            let pat = MessagingSpec::payload_pattern(m.seq).to_le_bytes();
+            let intact = m.payload.len() == self.size * 8
+                && m.payload.chunks(8).all(|c| c == &pat[..c.len()]);
+            if intact {
+                delivered += 1;
+            } else {
+                corrupt += 1;
             }
         }
-        None => w.put_bool(false),
+        let distinct = seen.iter().filter(|&&s| s).count() as u64;
+        Ok(Measured {
+            out: MessagingOutcome {
+                delivered,
+                torn: nic.stats().torn_frames,
+                duplicates,
+                dropped: MESSAGES as u64 - distinct,
+                corrupt,
+                livelock,
+                e2e: report.metrics.histograms.get(E2E_HISTOGRAM).cloned(),
+            },
+            sim_cycles,
+            artifacts: super::runner::PointArtifacts {
+                trace_json: ctx.obs.trace.then(|| sim.chrome_trace()),
+                metrics: ctx.obs.metrics.then_some(report),
+            },
+        })
     }
-    w.finish()
 }
 
-fn decode_messaging_payload(bytes: &[u8]) -> Option<PointResult> {
-    let mut r = csb_snap::SnapshotReader::new(bytes);
-    r.take_tag("msg").ok()?;
-    let delivered = r.take_u64().ok()?;
-    let torn = r.take_u64().ok()?;
-    let duplicates = r.take_u64().ok()?;
-    let dropped = r.take_u64().ok()?;
-    let corrupt = r.take_u64().ok()?;
-    let livelock = r.take_bool().ok()?;
-    let sim_cycles = r.take_u64().ok()?;
-    let e2e = if r.take_bool().ok()? {
-        let count = r.take_u64().ok()?;
-        let sum = r.take_u64().ok()?;
-        let min = r.take_u64().ok()?;
-        let max = r.take_u64().ok()?;
-        let len = r.take_usize().ok()?;
-        // Each bucket takes 16 bytes: a length the rest cannot hold is
-        // corrupt, and must not size an allocation.
-        if len > r.remaining() / 8 {
-            return None;
-        }
-        let mut buckets = Vec::with_capacity(len);
-        for _ in 0..len {
-            let le = r.take_u64().ok()?;
-            let n = r.take_u64().ok()?;
-            buckets.push(BucketCount { le, n });
-        }
-        Some(summary_from_buckets(count, sum, min, max, buckets))
-    } else {
-        None
-    };
-    let _checksum = r.take_u64().ok()?;
-    r.expect_end("cached messaging point payload").ok()?;
-    Some(PointResult {
-        delivered,
-        torn,
-        duplicates,
-        dropped,
-        corrupt,
-        livelock,
-        e2e,
-        sim_cycles,
-        wall: Duration::ZERO,
-        artifacts: PointArtifacts::default(),
-    })
-}
+/// First seed of the sweep.
+const SEED_BASE: u64 = 0x0e2e_0000;
 
-/// Readies one (path, size, policy, rate, seed) point in a reusable
-/// simulator slot: the sender program, the attached NI, the fault
-/// schedule, and metrics (the end-to-end quantiles *are* the result, so
-/// they always record).
-pub(crate) fn prepare_point(
-    slot: &mut Option<Simulator>,
-    path: SendPath,
-    size: usize,
-    policy: RetryPolicy,
-    rate: f64,
-    seed: u64,
-) -> Result<&mut Simulator, ExpError> {
-    let cfg = path.config();
-    let seeded = policy_for_seed(policy, seed);
-    let program = match path {
-        SendPath::Lock => workloads::lock_messages(spec(size), seeded, &cfg)?,
-        SendPath::Csb | SendPath::CsbDouble => workloads::csb_messages(spec(size), seeded, &cfg)?,
-    };
-    let nic_cfg = csb_nic::NicConfig {
-        slot_size: cfg.line(),
-        slots: SLOTS,
-        ..csb_nic::NicConfig::default()
-    };
-    let base = path.window_base();
-    let sim = super::install_sim(slot, cfg, program)?;
-    sim.attach_nic(nic_cfg, Addr::new(base))?;
-    if rate > 0.0 {
-        sim.set_faults(Some(
-            FaultConfig::new(seed)
-                .flush_disturb_rate(rate)
-                .bus_error_rate(rate * 0.25)
-                .device_nack_rate(rate * 0.25),
-        ));
-    }
-    sim.enable_metrics();
-    Ok(sim)
-}
-
-/// Runs one (path, size, policy, rate, seed) point through a reusable
-/// simulator slot.
-fn run_point(
-    slot: &mut Option<Simulator>,
-    path: SendPath,
-    size: usize,
-    policy: RetryPolicy,
-    rate: f64,
-    seed: u64,
-    obs: ObsConfig,
-) -> Result<PointResult, ExpError> {
-    let t0 = std::time::Instant::now();
-    // Artifact-capturing points bypass the cache (see the runner module).
-    let cache = if obs.any() {
-        None
-    } else {
-        crate::cache::active()
-    };
-    let key = messaging_point_key(path, size, policy, rate, seed);
-    if let Some(cache) = &cache {
-        if let Some(payload) = cache.load(key) {
-            if let Some(mut cached) = decode_messaging_payload(&payload) {
-                cache.note_hit();
-                cached.wall = t0.elapsed();
-                return Ok(cached);
-            }
-            cache.invalidate(key);
-        }
-    }
-    let sim = prepare_point(slot, path, size, policy, rate, seed)?;
-    if obs.trace {
-        sim.enable_tracing();
-    }
-    let livelock = match sim.run(POINT_LIMIT) {
-        Ok(_) => false,
-        Err(SimError::Livelock(_)) => true,
-        Err(e) => return Err(e.into()),
-    };
-    let sim_cycles = sim.summary().cycles;
-    let report = sim.metrics_report();
-    let nic = sim.nic().expect("NIC attached above");
-    // Receive-side seq accounting: first intact copy of each expected seq
-    // is a delivery, repeats are duplicates, the rest of the expected
-    // window is dropped.
-    let mut seen = [false; MESSAGES];
-    let mut delivered = 0u64;
-    let mut duplicates = 0u64;
-    let mut corrupt = 0u64;
-    for m in nic.messages() {
-        let sq = m.seq as usize;
-        if m.sender != SENDER || sq >= MESSAGES {
-            corrupt += 1;
-            continue;
-        }
-        if seen[sq] {
-            duplicates += 1;
-            continue;
-        }
-        seen[sq] = true;
-        let pat = MessagingSpec::payload_pattern(m.seq).to_le_bytes();
-        let intact =
-            m.payload.len() == size * 8 && m.payload.chunks(8).all(|c| c == &pat[..c.len()]);
-        if intact {
-            delivered += 1;
-        } else {
-            corrupt += 1;
-        }
-    }
-    let distinct = seen.iter().filter(|&&s| s).count() as u64;
-    let result = PointResult {
-        delivered,
-        torn: nic.stats().torn_frames,
-        duplicates,
-        dropped: MESSAGES as u64 - distinct,
-        corrupt,
-        livelock,
-        e2e: report.metrics.histograms.get(E2E_HISTOGRAM).cloned(),
-        sim_cycles,
-        wall: t0.elapsed(),
-        artifacts: PointArtifacts {
-            trace_json: obs.trace.then(|| sim.chrome_trace()),
-            metrics: obs.metrics.then_some(report),
-        },
-    };
-    if let Some(cache) = &cache {
-        cache.note_miss();
-        cache.store(key, &encode_messaging_payload(&result));
-    }
-    Ok(result)
-}
-
-/// Runs the full sweep serially.
-///
-/// # Errors
-///
-/// Propagates the first point that fails for a reason other than the
-/// expected fault outcomes (livelock and give-up are *results*, not
-/// errors).
-pub fn run() -> Result<MessagingSweep, ExpError> {
-    Ok(run_jobs(1)?.0)
-}
-
-/// Runs the full sweep on `jobs` workers (`0` = all cores), with the
-/// engine's [`RunReport`].
-///
-/// # Errors
-///
-/// As for [`run`]; the lowest-indexed failing point wins.
-pub fn run_jobs(jobs: usize) -> Result<(MessagingSweep, RunReport), ExpError> {
-    let (sweep, _, report) = run_jobs_observed(jobs, ObsConfig::default())?;
-    Ok((sweep, report))
-}
-
-/// [`run_jobs`] with artifact capture: every seeded point runs with
-/// tracing and/or metrics per `obs` and returns one [`LabeledArtifacts`]
-/// per point (label `messaging/<path>/<bytes>B/r<rate%>/<policy>`,
-/// distinguished per seed by [`LabeledArtifacts::seed`]), in
-/// sweep-enumeration order.
-///
-/// # Errors
-///
-/// As for [`run_jobs`]; the lowest-indexed failing point wins.
-pub fn run_jobs_observed(
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(MessagingSweep, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    let paths = paths();
-    let policies = super::faults::policies();
+/// The sweep's points: path-major, then size, rate, policy and seed.
+fn points() -> Vec<MessagingPoint> {
     let mut points = Vec::new();
-    for (pa, &path) in paths.iter().enumerate() {
+    for (pa, &path) in paths().iter().enumerate() {
         for (si, &size) in SIZES.iter().enumerate() {
-            for (ri, &rate) in RATES.iter().enumerate() {
-                for (pi, &policy) in policies.iter().enumerate() {
+            for &rate in &RATES {
+                for (pi, &policy) in faults::policies().iter().enumerate() {
                     for s in 0..SEEDS_PER_CELL {
                         // Seeds differ per (path, size, policy) group but
                         // are *shared across rates*, so each seed's
                         // degradation curve rides one fault schedule (the
                         // monotonicity argument in the module docs).
-                        let seed = 0x0e2e_0000
+                        let seed = SEED_BASE
                             + (pa as u64) * 100_000
                             + (si as u64) * 10_000
                             + (pi as u64) * 1_000
                             + s;
-                        points.push((pa, si, ri, pi, path, size, policy, rate, seed));
+                        points.push(MessagingPoint {
+                            path,
+                            size,
+                            policy,
+                            rate,
+                            seed,
+                        });
                     }
                 }
             }
         }
     }
-    let cache_before = crate::cache::active_stats();
-    let t0 = std::time::Instant::now();
-    let results = super::runner::parallel_map_with(
-        &points,
-        jobs,
-        || None,
-        |slot, &(_, _, _, _, path, size, policy, rate, seed)| {
-            run_point(slot, path, size, policy, rate, seed, obs)
-        },
-    );
-    let wall = t0.elapsed();
+    points
+}
 
-    // cells[path][size][rate][policy]; per_seed[path][size][policy][seed]
-    // keeps each seed's delivered counts along the rate axis.
-    let mut cells: Vec<Vec<Vec<Vec<Vec<PointResult>>>>> =
-        vec![vec![vec![vec![Vec::new(); policies.len()]; RATES.len()]; SIZES.len()]; paths.len()];
-    let mut per_seed: Vec<Vec<Vec<Vec<Vec<u64>>>>> =
-        vec![
-            vec![vec![vec![Vec::new(); SEEDS_PER_CELL as usize]; policies.len()]; SIZES.len()];
-            paths.len()
-        ];
-    let mut report = RunReport {
-        jobs: if jobs == 0 {
-            super::runner::default_jobs()
-        } else {
-            jobs
-        },
-        points: points.len(),
-        wall,
-        capacity: wall * jobs.max(1) as u32,
-        ..RunReport::default()
-    };
-    let mut artifacts = Vec::with_capacity(points.len());
-    for (&(pa, si, ri, pi, path, size, policy, rate, seed), result) in points.iter().zip(results) {
-        let r = result?;
-        report.busy += r.wall;
-        report.sim_cycles += r.sim_cycles;
-        if let Some(point_metrics) = &r.artifacts.metrics {
-            report
-                .metrics
-                .get_or_insert_with(Default::default)
-                .merge(&point_metrics.metrics);
+/// Runs the full sweep: every seeded point runs through the engine
+/// (labels `messaging/<path>/<bytes>B/r<rate%>/<policy>`, distinguished
+/// per seed by
+/// [`LabeledArtifacts::seed`](super::runner::LabeledArtifacts::seed)),
+/// then each (path, size, rate, policy) cell merges its seeds.
+///
+/// # Errors
+///
+/// Propagates the lowest-indexed point that fails for a reason other than
+/// the expected fault outcomes (livelock and give-up are *results*, not
+/// errors).
+pub fn run(ctx: &RunCtx) -> Result<SweepOutput<MessagingSweep>, ExpError> {
+    let policies = faults::policies();
+    let points = points();
+    Ok(run_sweep(&points, ctx)?.map(|outcomes| {
+        // Points enumerate rates in ascending order within each (path,
+        // size) block, so collecting each seed's delivered counts in
+        // point order yields its curve along the rate axis.
+        let mut curves: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+        for (p, r) in points.iter().zip(&outcomes) {
+            curves.entry(p.seed).or_default().push(r.delivered);
         }
-        artifacts.push(LabeledArtifacts {
-            label: format!(
-                "messaging/{}/{}B/r{:02}/{}",
-                path.label(),
-                size * 8,
-                (rate * 100.0).round() as u32,
-                policy_label(policy)
-            ),
-            value: PointValue::Bandwidth(r.delivered as f64 / MESSAGES as f64),
-            sim_cycles: r.sim_cycles,
-            wall: r.wall,
-            seed,
-            config_hash: csb_obs::hash_config(&format!(
-                "{:?} messaging {} {}B {policy:?} rate {rate}",
-                path.config(),
-                path.label(),
-                size * 8
-            )),
-            artifacts: r.artifacts.clone(),
-        });
-        per_seed[pa][si][pi][(seed - 0x0e2e_0000) as usize % 1_000].push(r.delivered);
-        cells[pa][si][ri][pi].push(r);
-    }
-    if let (Some(before), Some(after)) = (cache_before, crate::cache::active_stats()) {
-        let delta = after.delta(&before);
-        if delta.any() {
-            report.cache = Some(delta);
-            let m = report.metrics.get_or_insert_with(Default::default);
-            m.counters.insert("cache.hit".to_string(), delta.hits);
-            m.counters.insert("cache.miss".to_string(), delta.misses);
-        }
-    }
+        let per_seed_monotone = curves
+            .values()
+            .all(|curve| curve.windows(2).all(|w| w[1] <= w[0]));
 
-    // Points enumerate rates in ascending order, so each per-seed vector
-    // is the seed's delivered curve along the rate axis.
-    let per_seed_monotone = per_seed
-        .iter()
-        .flatten()
-        .flatten()
-        .flatten()
-        .all(|curve| curve.windows(2).all(|w| w[1] <= w[0]));
-
-    let mut rows = Vec::new();
-    for (pa, &path) in paths.iter().enumerate() {
-        for (si, &size) in SIZES.iter().enumerate() {
-            for (ri, &rate) in RATES.iter().enumerate() {
-                rows.push(MessagingRow {
-                    path: path.label().to_string(),
-                    bytes: size * 8,
-                    rate,
-                    cells: policies
-                        .iter()
-                        .enumerate()
-                        .map(|(pi, &policy)| {
-                            let rs = &cells[pa][si][ri][pi];
-                            let e2e = rs.iter().filter_map(|r| r.e2e.as_ref()).fold(
-                                None::<HistogramSummary>,
-                                |acc, h| match acc {
-                                    Some(mut s) => {
-                                        s.merge(h);
-                                        Some(s)
-                                    }
-                                    None => Some(h.clone()),
-                                },
-                            );
-                            MessagingCell {
-                                policy: policy_label(policy),
-                                delivered: rs.iter().map(|r| r.delivered).sum(),
-                                torn: rs.iter().map(|r| r.torn).sum(),
-                                duplicates: rs.iter().map(|r| r.duplicates).sum(),
-                                dropped: rs.iter().map(|r| r.dropped).sum(),
-                                corrupt: rs.iter().map(|r| r.corrupt).sum(),
-                                livelocks: rs.iter().filter(|r| r.livelock).count() as u64,
-                                runs: rs.len() as u64,
-                                e2e,
-                            }
-                        })
-                        .collect(),
-                });
+        let mut cells = outcomes.chunks(SEEDS_PER_CELL as usize);
+        let mut rows = Vec::new();
+        for &path in &paths() {
+            for &size in &SIZES {
+                for &rate in &RATES {
+                    rows.push(MessagingRow {
+                        path: path.label().to_string(),
+                        bytes: size * 8,
+                        rate,
+                        cells: policies
+                            .iter()
+                            .map(|&policy| {
+                                let rs = cells.next().expect("one cell per (row, policy)");
+                                MessagingCell {
+                                    policy: policy.label(),
+                                    delivered: rs.iter().map(|r| r.delivered).sum(),
+                                    torn: rs.iter().map(|r| r.torn).sum(),
+                                    duplicates: rs.iter().map(|r| r.duplicates).sum(),
+                                    dropped: rs.iter().map(|r| r.dropped).sum(),
+                                    corrupt: rs.iter().map(|r| r.corrupt).sum(),
+                                    livelocks: rs.iter().filter(|r| r.livelock).count() as u64,
+                                    runs: rs.len() as u64,
+                                    e2e: merge_histograms(rs.iter().filter_map(|r| r.e2e.as_ref())),
+                                }
+                            })
+                            .collect(),
+                    });
+                }
             }
         }
-    }
-
-    Ok((
         MessagingSweep {
             id: "messaging".to_string(),
             title: format!(
@@ -752,27 +550,48 @@ pub fn run_jobs_observed(
                  {SEEDS_PER_CELL} seeds/cell shared across rates, \
                  disturb rate swept (bus errors and NACKs at rate/4)"
             ),
-            policies: policies.iter().map(|&p| policy_label(p)).collect(),
+            policies: policies.iter().map(|&p| p.label()).collect(),
             rows,
             per_seed_monotone,
-        },
-        artifacts,
-        report,
-    ))
+        }
+    }))
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::runner::{decode_payload, encode_payload};
     use super::*;
+
+    fn point(
+        path: SendPath,
+        size: usize,
+        policy: RetryPolicy,
+        rate: f64,
+        seed: u64,
+    ) -> MessagingPoint {
+        MessagingPoint {
+            path,
+            size,
+            policy,
+            rate,
+            seed,
+        }
+    }
+
+    fn run_point(
+        slot: &mut Option<Simulator>,
+        point: MessagingPoint,
+    ) -> Measured<MessagingOutcome> {
+        point.run(slot, &RunCtx::default()).unwrap()
+    }
 
     #[test]
     fn zero_rate_is_exactly_once_on_every_path() {
         let mut slot = None;
         for &path in &paths() {
-            for &policy in &super::super::faults::policies() {
-                let r =
-                    run_point(&mut slot, path, 1, policy, 0.0, 42, ObsConfig::default()).unwrap();
-                let label = format!("{}/{}", path.label(), policy_label(policy));
+            for &policy in &faults::policies() {
+                let r = run_point(&mut slot, point(path, 1, policy, 0.0, 42)).out;
+                let label = format!("{}/{}", path.label(), policy.label());
                 assert_eq!(r.delivered, MESSAGES as u64, "{label}: all delivered");
                 assert_eq!(r.torn, 0, "{label}: no torn frames");
                 assert_eq!(r.duplicates, 0, "{label}: no duplicates");
@@ -792,26 +611,9 @@ mod tests {
         // arrives as one atomic line burst finishes assembly in one bus
         // transaction, while the locked path dribbles it a beat at a time.
         let mut slot = None;
-        let lock = run_point(
-            &mut slot,
-            SendPath::Lock,
-            7,
-            RetryPolicy::NaiveSpin,
-            0.0,
-            1,
-            ObsConfig::default(),
-        )
-        .unwrap();
-        let csb = run_point(
-            &mut slot,
-            SendPath::Csb,
-            7,
-            RetryPolicy::NaiveSpin,
-            0.0,
-            1,
-            ObsConfig::default(),
-        )
-        .unwrap();
+        let naive = RetryPolicy::NaiveSpin;
+        let lock = run_point(&mut slot, point(SendPath::Lock, 7, naive, 0.0, 1)).out;
+        let csb = run_point(&mut slot, point(SendPath::Csb, 7, naive, 0.0, 1)).out;
         let (l, c) = (lock.e2e.unwrap(), csb.e2e.unwrap());
         assert!(
             c.p50 < l.p50,
@@ -827,20 +629,12 @@ mod tests {
         // small slice: for every path and seed, the delivered count can
         // only fall as the rate rises.
         let mut slot = None;
+        let bounded = RetryPolicy::Bounded { attempts: 4 };
         for &path in &paths() {
             for seed in [0x0e2e_0007, 0x0e2e_0008] {
                 let mut prev = u64::MAX;
                 for &rate in &[0.0, 0.5, 0.9] {
-                    let r = run_point(
-                        &mut slot,
-                        path,
-                        1,
-                        RetryPolicy::Bounded { attempts: 4 },
-                        rate,
-                        seed,
-                        ObsConfig::default(),
-                    )
-                    .unwrap();
+                    let r = run_point(&mut slot, point(path, 1, bounded, rate, seed)).out;
                     assert!(
                         r.delivered <= prev,
                         "{} seed {seed:#x}: delivered rose from {prev} to {} at rate {rate}",
@@ -855,43 +649,35 @@ mod tests {
 
     #[test]
     fn cached_point_round_trips_histogram_buckets() {
-        let mut slot = None;
-        let live = run_point(
-            &mut slot,
-            SendPath::Csb,
-            7,
-            RetryPolicy::NaiveSpin,
-            0.25,
-            0x0e2e_0100,
-            ObsConfig::default(),
-        )
-        .unwrap();
-        let decoded =
-            decode_messaging_payload(&encode_messaging_payload(&live)).expect("payload decodes");
-        assert_eq!(decoded.delivered, live.delivered);
-        assert_eq!(decoded.dropped, live.dropped);
-        assert_eq!(decoded.torn, live.torn);
-        assert_eq!(decoded.livelock, live.livelock);
+        let p = point(SendPath::Csb, 7, RetryPolicy::NaiveSpin, 0.25, 0x0e2e_0100);
+        let live = run_point(&mut None, p);
+        let (decoded, cycles) = decode_payload(&p, &encode_payload(&p, &live.out, live.sim_cycles))
+            .expect("payload decodes");
+        assert_eq!(cycles, live.sim_cycles);
+        assert_eq!(decoded.delivered, live.out.delivered);
+        assert_eq!(decoded.dropped, live.out.dropped);
+        assert_eq!(decoded.torn, live.out.torn);
+        assert_eq!(decoded.livelock, live.out.livelock);
         assert_eq!(
-            decoded.e2e, live.e2e,
+            decoded.e2e, live.out.e2e,
             "quantiles re-derived from buckets must match the live summary"
         );
     }
 
     #[test]
     fn payload_with_oversized_bucket_count_is_rejected() {
+        let p = point(SendPath::Csb, 1, RetryPolicy::NaiveSpin, 0.0, 0);
         let mut w = csb_snap::SnapshotWriter::new();
-        w.put_tag("msg");
-        for v in [16, 0, 0, 0, 0] {
+        w.put_tag(MessagingPoint::TAG);
+        for v in [1_000, 16, 0, 0, 0, 0] {
             w.put_u64(v);
         }
         w.put_bool(false);
-        w.put_u64(1_000);
         w.put_bool(true);
         for v in [1, 100, 100, 100] {
             w.put_u64(v);
         }
         w.put_usize(1 << 60);
-        assert!(decode_messaging_payload(&w.finish()).is_none());
+        assert!(decode_payload(&p, &w.finish()).is_none());
     }
 }

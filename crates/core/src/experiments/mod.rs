@@ -50,7 +50,7 @@ pub const TRANSFERS: [usize; 7] = [16, 32, 64, 128, 256, 512, 1024];
 pub(crate) const DWORD_BYTES: usize = 8;
 
 /// Cycle budget per simulated point.
-const POINT_LIMIT: u64 = 50_000_000;
+pub(crate) const POINT_LIMIT: u64 = 50_000_000;
 
 /// Errors from experiment harnesses.
 #[derive(Debug)]
@@ -238,80 +238,9 @@ impl LatencyPanel {
 /// Returns [`ExpError`] if the workload is invalid or the simulation does
 /// not complete.
 pub fn bandwidth_point(cfg: &SimConfig, transfer: usize, scheme: Scheme) -> Result<f64, ExpError> {
-    bandwidth_point_ordered(cfg, transfer, scheme, workloads::StoreOrder::Ascending)
-}
-
-/// [`bandwidth_point`] with an explicit per-line store issue order — the
-/// knob that separates pattern-based hardware combining (R10000, PowerPC
-/// 620) from block combining and the order-insensitive CSB.
-///
-/// # Errors
-///
-/// As for [`bandwidth_point`].
-pub fn bandwidth_point_ordered(
-    cfg: &SimConfig,
-    transfer: usize,
-    scheme: Scheme,
-    order: workloads::StoreOrder,
-) -> Result<f64, ExpError> {
-    bandwidth_point_instrumented(cfg, transfer, scheme, order).map(|(bw, _)| bw)
-}
-
-/// [`bandwidth_point_ordered`] plus the simulated cycle count, for the
-/// runner's [`runner::RunReport`] instrumentation.
-pub(crate) fn bandwidth_point_instrumented(
-    cfg: &SimConfig,
-    transfer: usize,
-    scheme: Scheme,
-    order: workloads::StoreOrder,
-) -> Result<(f64, u64), ExpError> {
-    bandwidth_point_observed(cfg, transfer, scheme, order, runner::ObsConfig::default())
-        .map(|(bw, cycles, _)| (bw, cycles))
-}
-
-/// [`bandwidth_point_ordered`] with observability: returns the bandwidth,
-/// the simulated cycle count, and whatever artifacts
-/// [`runner::ObsConfig`] asked for (Chrome trace JSON and/or a
-/// [`crate::MetricsReport`]).
-///
-/// # Errors
-///
-/// As for [`bandwidth_point`].
-pub fn bandwidth_point_observed(
-    cfg: &SimConfig,
-    transfer: usize,
-    scheme: Scheme,
-    order: workloads::StoreOrder,
-    obs: runner::ObsConfig,
-) -> Result<(f64, u64, runner::PointArtifacts), ExpError> {
-    bandwidth_point_reusing(&mut None, cfg, transfer, scheme, order, obs)
-}
-
-/// [`bandwidth_point_observed`] through a reusable simulator slot: an empty
-/// slot is filled by cold construction, a filled one is warm-reset via
-/// [`Simulator::reset_with`] — either way the measurement is identical.
-/// The sweep engine hands each worker one slot for its whole point queue.
-pub(crate) fn bandwidth_point_reusing(
-    slot: &mut Option<Simulator>,
-    cfg: &SimConfig,
-    transfer: usize,
-    scheme: Scheme,
-    order: workloads::StoreOrder,
-    obs: runner::ObsConfig,
-) -> Result<(f64, u64, runner::PointArtifacts), ExpError> {
-    let sim = bandwidth_sim_into(slot, cfg, transfer, scheme, order)?;
-    if obs.trace {
-        sim.enable_tracing();
-    }
-    if obs.metrics {
-        sim.enable_metrics();
-    }
-    let summary = sim.run(POINT_LIMIT)?;
-    let artifacts = runner::PointArtifacts {
-        trace_json: obs.trace.then(|| sim.chrome_trace()),
-        metrics: obs.metrics.then(|| sim.metrics_report()),
-    };
-    Ok((summary.bus.effective_bandwidth(), summary.cycles, artifacts))
+    let (cfg, program) = bandwidth_parts(cfg, transfer, scheme, workloads::StoreOrder::Ascending)?;
+    let summary = Simulator::new(cfg, program)?.run(POINT_LIMIT)?;
+    Ok(summary.bus.effective_bandwidth())
 }
 
 /// The scheme-specialized machine configuration and store workload for one
@@ -341,65 +270,6 @@ fn bandwidth_parts(
     };
     let program = workloads::store_bandwidth_ordered(transfer, &cfg, path, order)?;
     Ok((cfg, program))
-}
-
-/// Builds the ready-to-run simulator for one bandwidth point: the
-/// scheme-specialized machine plus the generated store workload, not yet
-/// run. The cold half of the warm-vs-cold differential tests; production
-/// paths go through [`bandwidth_sim_into`].
-#[cfg(test)]
-pub(crate) fn bandwidth_sim(
-    cfg: &SimConfig,
-    transfer: usize,
-    scheme: Scheme,
-    order: workloads::StoreOrder,
-) -> Result<Simulator, ExpError> {
-    let (cfg, program) = bandwidth_parts(cfg, transfer, scheme, order)?;
-    Ok(Simulator::new(cfg, program)?)
-}
-
-/// [`bandwidth_sim`] into a reusable slot (see [`install_sim`]).
-pub(crate) fn bandwidth_sim_into<'a>(
-    slot: &'a mut Option<Simulator>,
-    cfg: &SimConfig,
-    transfer: usize,
-    scheme: Scheme,
-    order: workloads::StoreOrder,
-) -> Result<&'a mut Simulator, ExpError> {
-    let (cfg, program) = bandwidth_parts(cfg, transfer, scheme, order)?;
-    install_sim(slot, cfg, program)
-}
-
-/// Readies `slot` to simulate `(cfg, program)`: warm-resets the simulator
-/// already in the slot, or cold-constructs one into an empty slot. Both
-/// paths yield identical simulation results; the warm path skips the
-/// allocations construction would repeat.
-pub(crate) fn install_sim(
-    slot: &mut Option<Simulator>,
-    cfg: SimConfig,
-    program: Program,
-) -> Result<&mut Simulator, ExpError> {
-    match slot {
-        Some(sim) => sim.reset_with(cfg, program)?,
-        None => *slot = Some(Simulator::new(cfg, program)?),
-    }
-    Ok(slot.as_mut().expect("slot was just filled"))
-}
-
-/// Runs a full bandwidth panel over [`TRANSFERS`] and the scheme ladder of
-/// the machine's line size, serially. Thin wrapper over the engine — see
-/// [`runner::run_bandwidth_panels`] for the parallel path.
-///
-/// # Errors
-///
-/// Propagates the first failing point.
-pub fn bandwidth_panel(id: &str, title: &str, cfg: &SimConfig) -> Result<BandwidthPanel, ExpError> {
-    let spec = runner::BandwidthPanelSpec::new(id, title, cfg.clone());
-    let (panels, _) = runner::run_bandwidth_panels(std::slice::from_ref(&spec), 1)?;
-    Ok(panels
-        .into_iter()
-        .next()
-        .expect("one spec yields one panel"))
 }
 
 /// Renders a fixed-width text table.

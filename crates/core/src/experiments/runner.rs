@@ -1,46 +1,54 @@
-//! Parallel experiment engine: enumerate simulation points, fan them out
-//! across cores, reassemble deterministically.
+//! The sweep engine: every experiment is a list of independent simulation
+//! points run through one pipeline.
 //!
 //! Every figure in the paper's evaluation is a grid of *independent*
 //! execution-driven simulation points — (panel × transfer × scheme) for the
 //! bandwidth figures, (panel × doublewords × scheme) for Figure 5, plus the
-//! ablation sweeps. This module splits each harness into:
+//! ablation, fault, contention and messaging sweeps. Each sweep module
+//! keeps only what is its own:
 //!
-//! 1. **Enumeration** — a pure step producing a `Vec<`[`PointSpec`]`>`
-//!    (machine configuration + workload parameters + a human label),
-//! 2. **Execution** — [`run_points`] drives the specs through
-//!    [`execute_point`] on a scoped worker pool ([`parallel_map`]), and
-//! 3. **Reassembly** — results come back *keyed by point index*, so the
-//!    tables built from them are byte-identical no matter how many workers
-//!    ran (`jobs = 1` takes the exact serial path: same closure, same
-//!    iteration order, current thread).
+//! 1. **Enumeration** — a pure step producing a list of points, each a
+//!    [`SweepPoint`] (a [`PointSpec`] for the figures and ablations, one
+//!    point struct each for the seeded sweeps);
+//! 2. **Aggregation** — folding the per-point outputs, which come back in
+//!    enumeration order, into its table rows.
+//!
+//! [`run_sweep`] owns everything in between, once for every sweep: the
+//! scoped worker pool ([`parallel_map_with`]) with one warm-reset simulator
+//! slot per worker, the point cache, per-point wall time, the
+//! [`RunReport`], the per-point [`LabeledArtifacts`], and the rule that
+//! the lowest-indexed failing point's error wins. All run settings arrive
+//! in an explicit [`RunCtx`]; nothing is read from process globals.
+//! Results are keyed by point index, so the tables built from them are
+//! byte-identical no matter how many workers ran (`jobs = 1` takes the
+//! exact serial path: same closure, same order, current thread).
 //!
 //! The pool is a hand-rolled `std::thread::scope` + atomic-cursor design
 //! rather than rayon: this build environment has no registry access (see
 //! `vendor/README.md`), and work-stealing buys nothing here — points are
-//! coarse (millions of simulated cycles each), so a shared take-a-ticket
-//! counter already load-balances them.
+//! coarse, so a shared take-a-ticket counter already load-balances them.
 //!
-//! Execution is instrumented: each point reports its wall-clock and
-//! simulated cycle count, and a sweep returns a [`RunReport`] with pool
-//! utilization, aggregate throughput, and the slowest point. The bench
-//! binaries print the report to **stderr**, keeping stdout (the tables)
-//! byte-identical across `--jobs` settings.
+//! The bench binaries print the [`RunReport`] to **stderr**, keeping
+//! stdout (the tables) byte-identical across `--jobs` settings.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use csb_obs::MetricsSnapshot;
+use csb_isa::{Addr, Program};
+use csb_obs::{BucketCount, HistogramSummary, MetricsSnapshot};
+use csb_snap::{SnapshotReader, SnapshotWriter};
 
 use super::fig5::{self, LockResidency};
 use super::{
-    bandwidth_point_reusing, BandwidthPanel, BandwidthRow, ExpError, LatencyPanel, LatencyRow,
-    Scheme, DWORD_BYTES, TRANSFERS,
+    BandwidthPanel, BandwidthRow, ExpError, LatencyPanel, LatencyRow, Scheme, DWORD_BYTES,
+    POINT_LIMIT, TRANSFERS,
 };
-use crate::config::SimConfig;
-use crate::sim::{MetricsReport, Simulator};
-use crate::workloads::StoreOrder;
+use crate::cache::{CacheStats, PointCache};
+use crate::config::{SimConfig, LOCK_ADDR};
+use crate::sim::{MetricsReport, RunSummary, Simulator};
+use crate::snapshot::AutosnapConfig;
+use crate::workloads::{StoreOrder, MARK_END, MARK_START};
 
 /// Which observability artifacts to capture for every executed point.
 ///
@@ -61,6 +69,24 @@ impl ObsConfig {
     pub fn any(self) -> bool {
         self.trace || self.metrics
     }
+
+    /// Turns on the recording this configuration asks for.
+    pub fn enable(self, sim: &mut Simulator) {
+        if self.trace {
+            sim.enable_tracing();
+        }
+        if self.metrics {
+            sim.enable_metrics();
+        }
+    }
+
+    /// Collects the requested artifacts from a finished run.
+    pub fn capture(self, sim: &Simulator) -> PointArtifacts {
+        PointArtifacts {
+            trace_json: self.trace.then(|| sim.chrome_trace()),
+            metrics: self.metrics.then(|| sim.metrics_report()),
+        }
+    }
 }
 
 /// Observability artifacts captured for one executed point.
@@ -80,13 +106,13 @@ impl PointArtifacts {
     }
 }
 
-/// One point's artifacts tagged with the spec label that produced them —
-/// what the bench binaries key artifact filenames on. Also carries the
-/// point's measured value, simulated cycle count, and wall time so ledger
-/// records can be assembled from this struct alone.
+/// One point's artifacts tagged with the label that produced them — what
+/// the bench binaries key artifact filenames on. Also carries the point's
+/// ledger value, simulated cycle count, and wall time so ledger records
+/// can be assembled from this struct alone.
 #[derive(Debug, Clone)]
 pub struct LabeledArtifacts {
-    /// The spec's display label, e.g. `"3e/256B/CSB"`.
+    /// The point's display label, e.g. `"3e/256B/CSB"`.
     pub label: String,
     /// The point's measured value.
     pub value: PointValue,
@@ -96,10 +122,397 @@ pub struct LabeledArtifacts {
     pub wall: Duration,
     /// Fault-schedule seed (0 for deterministic points).
     pub seed: u64,
-    /// FNV-1a hash of the point's machine-configuration rendering.
+    /// FNV-1a hash of the point's configuration text.
     pub config_hash: u64,
     /// The captured artifacts.
     pub artifacts: PointArtifacts,
+}
+
+/// Run settings for a sweep, built once by the caller and passed to every
+/// sweep explicitly — the bench binaries build one from the command line.
+/// The [`Default`] is a serial run with fast-forward on and no cache,
+/// capture or snapshots.
+#[derive(Debug, Clone)]
+pub struct RunCtx {
+    /// Worker threads: `0` means all cores, `1` the serial path on the
+    /// calling thread.
+    pub jobs: usize,
+    /// Artifact capture for every point.
+    pub obs: ObsConfig,
+    /// Content-addressed point store. [`run_sweep`] consults it only when
+    /// `obs` captures nothing: artifacts are not stored, so a cached
+    /// result could not carry them.
+    pub cache: Option<Arc<PointCache>>,
+    /// Event-driven fast-forward in every simulator a point installs
+    /// (`false` forces the naive cycle-by-cycle loop; results are
+    /// identical either way).
+    pub fast_forward: bool,
+    /// Periodic restorable snapshots during every installed simulator's
+    /// run (see [`Simulator::set_autosnap`]).
+    pub autosnap: Option<AutosnapConfig>,
+}
+
+impl Default for RunCtx {
+    fn default() -> Self {
+        RunCtx {
+            jobs: 1,
+            obs: ObsConfig::default(),
+            cache: None,
+            fast_forward: true,
+            autosnap: None,
+        }
+    }
+}
+
+impl RunCtx {
+    /// The worker count after resolving `jobs = 0` to [`default_jobs`].
+    pub fn workers(&self) -> usize {
+        if self.jobs == 0 {
+            default_jobs()
+        } else {
+            self.jobs
+        }
+    }
+
+    /// Readies `slot` to simulate `(cfg, program)` under these settings:
+    /// warm-resets the simulator already in the slot, or cold-constructs
+    /// one into an empty slot (both yield identical results; the warm
+    /// path skips the allocations construction would repeat), then applies
+    /// [`RunCtx::fast_forward`] and [`RunCtx::autosnap`].
+    ///
+    /// # Errors
+    ///
+    /// [`ExpError::Sim`] if the machine configuration is rejected.
+    pub fn install<'a>(
+        &self,
+        slot: &'a mut Option<Simulator>,
+        cfg: SimConfig,
+        program: Program,
+    ) -> Result<&'a mut Simulator, ExpError> {
+        match slot {
+            Some(sim) => sim.reset_with(cfg, program)?,
+            None => *slot = Some(Simulator::new(cfg, program)?),
+        }
+        let sim = slot.as_mut().expect("slot was just filled");
+        sim.set_fast_forward(self.fast_forward);
+        sim.set_autosnap(self.autosnap.clone());
+        Ok(sim)
+    }
+}
+
+/// One point of a sweep: everything the engine needs to run, cache, label
+/// and ledger it. The sweep modules implement this for their point types;
+/// [`run_sweep`] does the rest.
+pub trait SweepPoint: Sync {
+    /// What one run measures — the part of the result a cache entry
+    /// stores and the sweep aggregates.
+    type Output: Send;
+
+    /// Tag opening this point kind's cache payload.
+    const TAG: &'static str;
+
+    /// Display label, e.g. `"3e/256B/CSB"` (artifact file names, the
+    /// ledger key, the report's slowest point).
+    fn label(&self) -> String;
+
+    /// Fault-schedule or arrival seed (0 for deterministic points).
+    fn seed(&self) -> u64 {
+        0
+    }
+
+    /// The text whose FNV-1a hash is the ledger's `config_hash`.
+    fn config_text(&self) -> String;
+
+    /// Content address of the point's result: machine configuration,
+    /// workload and seed, through [`PointCache::key_debug`]. The label is
+    /// excluded, so the same point reached from two sweeps shares one
+    /// entry.
+    fn cache_key(&self) -> u64;
+
+    /// Writes `out` into a cache payload.
+    fn encode(&self, out: &Self::Output, w: &mut SnapshotWriter);
+
+    /// Reads an output back from a cache payload; `None` on anything
+    /// malformed or not what this point would measure (which also guards
+    /// key collisions — the engine invalidates and re-simulates).
+    fn decode(&self, r: &mut SnapshotReader<'_>) -> Option<Self::Output>;
+
+    /// The value recorded in the point's ledger record.
+    fn value(&self, out: &Self::Output) -> PointValue;
+
+    /// Simulates the point. Single-machine points ready `slot` through
+    /// [`RunCtx::install`], so a worker's whole queue reuses one warm
+    /// simulator.
+    ///
+    /// # Errors
+    ///
+    /// [`ExpError`] if the workload is invalid or the simulation fails.
+    fn run(
+        &self,
+        slot: &mut Option<Simulator>,
+        ctx: &RunCtx,
+    ) -> Result<Measured<Self::Output>, ExpError>;
+}
+
+/// What [`SweepPoint::run`] returns.
+#[derive(Debug, Clone)]
+pub struct Measured<O> {
+    /// The point's output.
+    pub out: O,
+    /// CPU cycles the simulation ran for.
+    pub sim_cycles: u64,
+    /// Artifacts captured per [`RunCtx::obs`].
+    pub artifacts: PointArtifacts,
+}
+
+/// A sweep's aggregated result plus its per-point artifacts (in
+/// enumeration order) and the engine's [`RunReport`].
+#[derive(Debug, Clone)]
+pub struct SweepOutput<T> {
+    /// The sweep's result (its table rows, or the raw per-point outputs).
+    pub result: T,
+    /// One entry per point, in enumeration order.
+    pub artifacts: Vec<LabeledArtifacts>,
+    /// Engine instrumentation for the sweep.
+    pub report: RunReport,
+}
+
+impl<T> SweepOutput<T> {
+    /// Replaces the result, keeping the artifacts and report.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> SweepOutput<U> {
+        SweepOutput {
+            result: f(self.result),
+            artifacts: self.artifacts,
+            report: self.report,
+        }
+    }
+}
+
+/// How a point's cache lookup went.
+enum Lookup {
+    /// No cache consulted.
+    Off,
+    Hit,
+    Miss,
+}
+
+/// Runs one point through the cache, when one is attached, on the
+/// calling worker.
+fn run_point<P: SweepPoint>(
+    point: &P,
+    slot: &mut Option<Simulator>,
+    ctx: &RunCtx,
+    cache: Option<&PointCache>,
+) -> Result<(Measured<P::Output>, Lookup), ExpError> {
+    let Some(cache) = cache else {
+        return Ok((point.run(slot, ctx)?, Lookup::Off));
+    };
+    let key = point.cache_key();
+    if let Some(payload) = cache.load(key) {
+        if let Some((out, sim_cycles)) = decode_payload(point, &payload) {
+            let artifacts = PointArtifacts::default();
+            return Ok((
+                Measured {
+                    out,
+                    sim_cycles,
+                    artifacts,
+                },
+                Lookup::Hit,
+            ));
+        }
+        cache.invalidate(key);
+    }
+    let measured = point.run(slot, ctx)?;
+    cache.store(
+        key,
+        &encode_payload(point, &measured.out, measured.sim_cycles),
+    );
+    Ok((measured, Lookup::Miss))
+}
+
+/// A point's cache payload: its tag, the simulated cycles, and the
+/// point's own encoding of its output.
+pub(crate) fn encode_payload<P: SweepPoint>(
+    point: &P,
+    out: &P::Output,
+    sim_cycles: u64,
+) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    w.put_tag(P::TAG);
+    w.put_u64(sim_cycles);
+    point.encode(out, &mut w);
+    w.finish()
+}
+
+/// Decodes an [`encode_payload`] payload; `None` if anything is off.
+pub(crate) fn decode_payload<P: SweepPoint>(point: &P, bytes: &[u8]) -> Option<(P::Output, u64)> {
+    let mut r = SnapshotReader::new(bytes);
+    r.take_tag(P::TAG).ok()?;
+    let sim_cycles = r.take_u64().ok()?;
+    let out = point.decode(&mut r)?;
+    // `SnapshotWriter::finish` appends a checksum; the framed cache entry
+    // already verified integrity, so just consume it.
+    let _checksum = r.take_u64().ok()?;
+    r.expect_end("cached point payload").ok()?;
+    Some((out, sim_cycles))
+}
+
+/// Writes an optional histogram as its raw bucket counts, so a cached
+/// point merges across seeds exactly like a live one.
+pub(crate) fn put_histogram(w: &mut SnapshotWriter, h: Option<&HistogramSummary>) {
+    let Some(h) = h else {
+        w.put_bool(false);
+        return;
+    };
+    w.put_bool(true);
+    for v in [h.count, h.sum, h.min, h.max] {
+        w.put_u64(v);
+    }
+    w.put_usize(h.buckets.len());
+    for b in &h.buckets {
+        w.put_u64(b.le);
+        w.put_u64(b.n);
+    }
+}
+
+/// Reads a [`put_histogram`] record (outer `None` = malformed). The
+/// quantiles are re-derived from the buckets by merging into an empty
+/// summary, so a decoded histogram is indistinguishable from a live one.
+pub(crate) fn take_histogram(r: &mut SnapshotReader<'_>) -> Option<Option<HistogramSummary>> {
+    if !r.take_bool().ok()? {
+        return Some(None);
+    }
+    let count = r.take_u64().ok()?;
+    let sum = r.take_u64().ok()?;
+    let min = r.take_u64().ok()?;
+    let max = r.take_u64().ok()?;
+    let len = r.take_usize().ok()?;
+    // Each bucket takes 16 bytes: a length the rest cannot hold is
+    // corrupt, and must not size an allocation.
+    if len > r.remaining() / 8 {
+        return None;
+    }
+    let mut buckets = Vec::with_capacity(len);
+    for _ in 0..len {
+        let le = r.take_u64().ok()?;
+        let n = r.take_u64().ok()?;
+        buckets.push(BucketCount { le, n });
+    }
+    let mut summary = HistogramSummary::default();
+    summary.merge(&HistogramSummary {
+        count,
+        sum,
+        min,
+        max,
+        buckets,
+        ..HistogramSummary::default()
+    });
+    Some(Some(summary))
+}
+
+/// Merges histograms across the seeds of one cell (`None` if none).
+pub(crate) fn merge_histograms<'a>(
+    hs: impl IntoIterator<Item = &'a HistogramSummary>,
+) -> Option<HistogramSummary> {
+    hs.into_iter().fold(None, |acc, h| match acc {
+        Some(mut s) => {
+            s.merge(h);
+            Some(s)
+        }
+        None => Some(h.clone()),
+    })
+}
+
+/// Runs every point on `ctx.jobs` workers and returns their outputs in
+/// point order, with one [`LabeledArtifacts`] per point and the sweep's
+/// [`RunReport`].
+///
+/// # Errors
+///
+/// The error of the *lowest-indexed* failing point — exactly what a
+/// serial `?`-loop would report, whatever the worker count.
+pub fn run_sweep<P: SweepPoint>(
+    points: &[P],
+    ctx: &RunCtx,
+) -> Result<SweepOutput<Vec<P::Output>>, ExpError> {
+    let cache = ctx.cache.as_deref().filter(|_| !ctx.obs.any());
+    let io_before = cache.map(PointCache::stats);
+    let t0 = Instant::now();
+    // Each worker threads one simulator slot through its whole queue, so
+    // every point after a worker's first runs on a warm-reset simulator.
+    // A point's wall time spans its lookup, simulation and store; labels
+    // and config hashes are formatted outside it.
+    let results = parallel_map_with(
+        points,
+        ctx.jobs,
+        || None,
+        |slot, point| {
+            let t0 = Instant::now();
+            run_point(point, slot, ctx, cache).map(|(m, lookup)| (m, lookup, t0.elapsed()))
+        },
+    );
+    let wall = t0.elapsed();
+    let workers = ctx.workers().min(points.len()).max(1);
+    let mut report = RunReport {
+        jobs: workers,
+        points: points.len(),
+        wall,
+        capacity: wall * workers as u32,
+        ..RunReport::default()
+    };
+    let mut outputs = Vec::with_capacity(points.len());
+    let mut artifacts = Vec::with_capacity(points.len());
+    let mut lookups = CacheStats::default();
+    for (point, result) in points.iter().zip(results) {
+        let (measured, lookup, wall) = result?;
+        report.busy += wall;
+        report.sim_cycles += measured.sim_cycles;
+        let label = point.label();
+        if report.slowest.as_ref().is_none_or(|(_, d)| wall > *d) {
+            report.slowest = Some((label.clone(), wall));
+        }
+        if let Some(m) = &measured.artifacts.metrics {
+            report
+                .metrics
+                .get_or_insert_with(MetricsSnapshot::default)
+                .merge(&m.metrics);
+        }
+        match lookup {
+            Lookup::Off => {}
+            Lookup::Hit => lookups.hits += 1,
+            Lookup::Miss => lookups.misses += 1,
+        }
+        artifacts.push(LabeledArtifacts {
+            label,
+            value: point.value(&measured.out),
+            sim_cycles: measured.sim_cycles,
+            wall,
+            seed: point.seed(),
+            config_hash: csb_obs::hash_config(&point.config_text()),
+            artifacts: measured.artifacts,
+        });
+        outputs.push(measured.out);
+    }
+    if let (Some(cache), Some(before)) = (cache, io_before) {
+        let stats = CacheStats {
+            hits: lookups.hits,
+            misses: lookups.misses,
+            ..cache.stats().delta(&before)
+        };
+        if stats.any() {
+            report.cache = Some(stats);
+            // Surface the pair in the metrics aggregate too, so a metrics
+            // consumer sees cache effectiveness alongside the counters.
+            let m = report.metrics.get_or_insert_with(MetricsSnapshot::default);
+            m.counters.insert("cache.hit".to_string(), stats.hits);
+            m.counters.insert("cache.miss".to_string(), stats.misses);
+        }
+    }
+    Ok(SweepOutput {
+        result: outputs,
+        artifacts,
+        report,
+    })
 }
 
 /// The workload half of a simulation point: what to measure on the
@@ -128,12 +541,11 @@ pub enum PointWork {
     },
 }
 
-/// One fully-described simulation point: a machine plus the measurement to
+/// One fully-described figure point: a machine plus the measurement to
 /// take on it. Specs are pure data — enumerating them runs no simulation.
 #[derive(Debug, Clone)]
 pub struct PointSpec {
-    /// Display label, e.g. `"3e/256B/CSB"` — used by [`RunReport`] to name
-    /// the slowest point.
+    /// Display label, e.g. `"3e/256B/CSB"`.
     pub label: String,
     /// Machine configuration (already specialized for the panel; the
     /// scheme in [`PointSpec::work`] applies its own overrides on top).
@@ -169,160 +581,312 @@ impl PointValue {
     }
 }
 
-/// One executed point: its value plus per-point instrumentation.
+impl PointSpec {
+    /// Readies `slot` for this point: the scheme-specialized machine and
+    /// generated workload installed through [`RunCtx::install`], and for
+    /// latency points the lock line warmed or evicted per its residency
+    /// (after the install, exactly as after a cold construction). Not yet
+    /// run.
+    ///
+    /// # Errors
+    ///
+    /// [`ExpError`] if the workload or machine is invalid.
+    pub(crate) fn install<'a>(
+        &self,
+        slot: &'a mut Option<Simulator>,
+        ctx: &RunCtx,
+    ) -> Result<&'a mut Simulator, ExpError> {
+        match self.work {
+            PointWork::Bandwidth {
+                transfer,
+                scheme,
+                order,
+            } => {
+                let (cfg, program) = super::bandwidth_parts(&self.cfg, transfer, scheme, order)?;
+                ctx.install(slot, cfg, program)
+            }
+            PointWork::Latency {
+                dwords,
+                scheme,
+                residency,
+            } => {
+                let (cfg, program) = fig5::latency_parts(&self.cfg, dwords, scheme)?;
+                let sim = ctx.install(slot, cfg, program)?;
+                match residency {
+                    LockResidency::Hit => sim.warm_line(Addr::new(LOCK_ADDR)),
+                    LockResidency::Miss => sim.evict_line(Addr::new(LOCK_ADDR)),
+                }
+                Ok(sim)
+            }
+        }
+    }
+
+    /// The figure value a completed run measured.
+    ///
+    /// # Errors
+    ///
+    /// [`ExpError::MissingMark`] if a latency run lacks its timing marks.
+    pub(crate) fn measure(&self, summary: &RunSummary) -> Result<PointValue, ExpError> {
+        match self.work {
+            PointWork::Bandwidth { .. } => {
+                Ok(PointValue::Bandwidth(summary.bus.effective_bandwidth()))
+            }
+            PointWork::Latency { .. } => summary
+                .cpu
+                .mark_interval(MARK_START, MARK_END)
+                .map(PointValue::Latency)
+                .ok_or(ExpError::MissingMark),
+        }
+    }
+}
+
+impl SweepPoint for PointSpec {
+    type Output = PointValue;
+    const TAG: &'static str = "pt";
+
+    fn label(&self) -> String {
+        self.label.clone()
+    }
+
+    fn config_text(&self) -> String {
+        format!("{:?} {:?}", self.cfg, self.work)
+    }
+
+    fn cache_key(&self) -> u64 {
+        PointCache::key_debug(&[&self.cfg, &self.work], 0)
+    }
+
+    fn encode(&self, out: &PointValue, w: &mut SnapshotWriter) {
+        match *out {
+            PointValue::Bandwidth(b) => {
+                w.put_u8(0);
+                w.put_f64(b);
+            }
+            PointValue::Latency(c) => {
+                w.put_u8(1);
+                w.put_u64(c);
+            }
+        }
+    }
+
+    fn decode(&self, r: &mut SnapshotReader<'_>) -> Option<PointValue> {
+        match (r.take_u8().ok()?, self.work) {
+            (0, PointWork::Bandwidth { .. }) => Some(PointValue::Bandwidth(r.take_f64().ok()?)),
+            (1, PointWork::Latency { .. }) => Some(PointValue::Latency(r.take_u64().ok()?)),
+            _ => None,
+        }
+    }
+
+    fn value(&self, out: &PointValue) -> PointValue {
+        *out
+    }
+
+    fn run(
+        &self,
+        slot: &mut Option<Simulator>,
+        ctx: &RunCtx,
+    ) -> Result<Measured<PointValue>, ExpError> {
+        let sim = self.install(slot, ctx)?;
+        ctx.obs.enable(sim);
+        let summary = sim.run(POINT_LIMIT)?;
+        Ok(Measured {
+            out: self.measure(&summary)?,
+            sim_cycles: summary.cycles,
+            artifacts: ctx.obs.capture(sim),
+        })
+    }
+}
+
+/// A figure panel: a machine swept over one size axis × its scheme
+/// ladder, run as [`PointSpec`]s and assembled into a table.
+pub trait Panel {
+    /// The assembled panel.
+    type Table;
+
+    /// The panel's points, in row-major (size, scheme) order.
+    fn points(&self) -> Vec<PointSpec>;
+
+    /// Builds the table from the panel's point values, in [`Panel::points`]
+    /// order.
+    fn assemble(&self, values: &mut dyn Iterator<Item = PointValue>) -> Self::Table;
+}
+
+/// Runs a set of panels as one sweep and assembles each panel's table.
+///
+/// # Errors
+///
+/// The first (in enumeration order) point failure.
+pub fn run_panels<S: Panel>(
+    panels: &[S],
+    ctx: &RunCtx,
+) -> Result<SweepOutput<Vec<S::Table>>, ExpError> {
+    let specs: Vec<PointSpec> = panels.iter().flat_map(Panel::points).collect();
+    Ok(run_sweep(&specs, ctx)?.map(|values| {
+        let mut values = values.into_iter();
+        panels.iter().map(|p| p.assemble(&mut values)).collect()
+    }))
+}
+
+/// Declarative description of one bandwidth panel: the engine expands it
+/// to [`TRANSFERS`] × the machine's scheme ladder.
 #[derive(Debug, Clone)]
-pub struct PointOutcome {
-    /// The measured value.
-    pub value: PointValue,
-    /// CPU cycles the simulation ran for.
-    pub sim_cycles: u64,
-    /// Wall-clock time the point took on its worker.
-    pub wall: Duration,
-    /// Observability artifacts (empty unless an [`ObsConfig`] asked for
-    /// them).
-    pub artifacts: PointArtifacts,
+pub struct BandwidthPanelSpec {
+    /// Panel id, e.g. `"3a"`.
+    pub id: String,
+    /// Human-readable parameter description.
+    pub title: String,
+    /// The panel's machine.
+    pub cfg: SimConfig,
 }
 
-/// Executes a single spec on the calling thread.
-///
-/// # Errors
-///
-/// Returns [`ExpError`] if the workload is invalid or the simulation does
-/// not complete.
-pub fn execute_point(spec: &PointSpec) -> Result<PointOutcome, ExpError> {
-    execute_point_observed(spec, ObsConfig::default())
-}
+impl BandwidthPanelSpec {
+    /// Builds a spec.
+    pub fn new(id: impl Into<String>, title: impl Into<String>, cfg: SimConfig) -> Self {
+        BandwidthPanelSpec {
+            id: id.into(),
+            title: title.into(),
+            cfg,
+        }
+    }
 
-/// [`execute_point`] with artifact capture: the simulation runs with
-/// tracing and/or metrics enabled per `obs`, and the outcome carries the
-/// captured [`PointArtifacts`].
-///
-/// # Errors
-///
-/// As for [`execute_point`].
-pub fn execute_point_observed(spec: &PointSpec, obs: ObsConfig) -> Result<PointOutcome, ExpError> {
-    execute_point_reusing(&mut None, spec, obs)
-}
-
-/// [`execute_point_observed`] through a reusable simulator slot. A worker
-/// passes the same slot for every spec in its queue: the first point
-/// cold-constructs the simulator, every later point warm-resets it
-/// ([`Simulator::reset_with`]) instead of rebuilding its arenas. Results
-/// are identical either way; `&mut None` recovers the cold path exactly.
-pub(crate) fn execute_point_reusing(
-    slot: &mut Option<Simulator>,
-    spec: &PointSpec,
-    obs: ObsConfig,
-) -> Result<PointOutcome, ExpError> {
-    // Points that capture artifacts never touch the cache: traces and
-    // metrics are not stored, so a cached result could not carry them.
-    let cache = if obs.any() {
-        None
-    } else {
-        crate::cache::active()
-    };
-    let t0 = Instant::now();
-    let key = point_cache_key(spec, 0);
-    if let Some(cache) = &cache {
-        if let Some(payload) = cache.load(key) {
-            let decoded =
-                decode_point_payload(&payload).filter(|&(value, _)| kind_matches(spec, value));
-            if let Some((value, sim_cycles)) = decoded {
-                cache.note_hit();
-                return Ok(PointOutcome {
-                    value,
-                    sim_cycles,
-                    wall: t0.elapsed(),
-                    artifacts: PointArtifacts::default(),
+    /// The points this panel expands to, in row-major (transfer, scheme)
+    /// order.
+    pub fn enumerate(&self) -> Vec<PointSpec> {
+        let schemes = Scheme::ladder(self.cfg.line());
+        let mut points = Vec::with_capacity(TRANSFERS.len() * schemes.len());
+        for &transfer in &TRANSFERS {
+            for &scheme in &schemes {
+                points.push(PointSpec {
+                    label: format!("{}/{}B/{}", self.id, transfer, scheme),
+                    cfg: self.cfg.clone(),
+                    work: PointWork::Bandwidth {
+                        transfer,
+                        scheme,
+                        order: StoreOrder::Ascending,
+                    },
                 });
             }
-            cache.invalidate(key);
+        }
+        points
+    }
+}
+
+impl Panel for BandwidthPanelSpec {
+    type Table = BandwidthPanel;
+
+    fn points(&self) -> Vec<PointSpec> {
+        self.enumerate()
+    }
+
+    fn assemble(&self, values: &mut dyn Iterator<Item = PointValue>) -> BandwidthPanel {
+        let schemes = Scheme::ladder(self.cfg.line());
+        let rows = TRANSFERS
+            .iter()
+            .map(|&transfer| BandwidthRow {
+                transfer,
+                values: schemes
+                    .iter()
+                    .map(|_| {
+                        values
+                            .next()
+                            .and_then(PointValue::bandwidth)
+                            .expect("one bandwidth value per enumerated point")
+                    })
+                    .collect(),
+            })
+            .collect();
+        BandwidthPanel {
+            id: self.id.clone(),
+            title: self.title.clone(),
+            schemes: schemes.iter().map(Scheme::to_string).collect(),
+            rows,
         }
     }
-    let (value, sim_cycles, artifacts) = match spec.work {
-        PointWork::Bandwidth {
-            transfer,
-            scheme,
-            order,
-        } => {
-            let (bw, cycles, artifacts) =
-                bandwidth_point_reusing(slot, &spec.cfg, transfer, scheme, order, obs)?;
-            (PointValue::Bandwidth(bw), cycles, artifacts)
-        }
-        PointWork::Latency {
-            dwords,
-            scheme,
+}
+
+/// Declarative description of one latency panel (Figure 5): expands to
+/// [`fig5::DWORDS`] × the machine's scheme ladder.
+#[derive(Debug, Clone)]
+pub struct LatencyPanelSpec {
+    /// Panel id, e.g. `"5a"`.
+    pub id: String,
+    /// Human-readable parameter description.
+    pub title: String,
+    /// The panel's machine.
+    pub cfg: SimConfig,
+    /// Whether the lock variable hits in the L1.
+    pub residency: LockResidency,
+}
+
+impl LatencyPanelSpec {
+    /// Builds a spec.
+    pub fn new(
+        id: impl Into<String>,
+        title: impl Into<String>,
+        cfg: SimConfig,
+        residency: LockResidency,
+    ) -> Self {
+        LatencyPanelSpec {
+            id: id.into(),
+            title: title.into(),
+            cfg,
             residency,
-        } => {
-            let (lat, cycles, artifacts) =
-                fig5::latency_point_reusing(slot, &spec.cfg, dwords, scheme, residency, obs)?;
-            (PointValue::Latency(lat), cycles, artifacts)
-        }
-    };
-    if let Some(cache) = &cache {
-        cache.note_miss();
-        cache.store(key, &encode_point_payload(value, sim_cycles));
-    }
-    Ok(PointOutcome {
-        value,
-        sim_cycles,
-        wall: t0.elapsed(),
-        artifacts,
-    })
-}
-
-/// Content-address of one sweep point: snapshot format version (inside
-/// [`PointCache::key_debug`]) + machine configuration + workload + fault
-/// seed.
-/// The display label is deliberately excluded — the same point reached
-/// from different sweeps shares one entry.
-///
-/// [`PointCache`]: crate::cache::PointCache
-fn point_cache_key(spec: &PointSpec, seed: u64) -> u64 {
-    crate::cache::PointCache::key_debug(&[&spec.cfg, &spec.work], seed)
-}
-
-/// Whether a cached value's kind matches what the spec would measure (a
-/// key collision guard; mismatches invalidate and re-simulate).
-fn kind_matches(spec: &PointSpec, value: PointValue) -> bool {
-    matches!(
-        (&spec.work, value),
-        (PointWork::Bandwidth { .. }, PointValue::Bandwidth(_))
-            | (PointWork::Latency { .. }, PointValue::Latency(_))
-    )
-}
-
-fn encode_point_payload(value: PointValue, sim_cycles: u64) -> Vec<u8> {
-    let mut w = csb_snap::SnapshotWriter::new();
-    w.put_tag("pt");
-    match value {
-        PointValue::Bandwidth(b) => {
-            w.put_u8(0);
-            w.put_f64(b);
-        }
-        PointValue::Latency(c) => {
-            w.put_u8(1);
-            w.put_u64(c);
         }
     }
-    w.put_u64(sim_cycles);
-    w.finish()
+
+    /// The points this panel expands to, in row-major (dwords, scheme)
+    /// order.
+    pub fn enumerate(&self) -> Vec<PointSpec> {
+        let schemes = Scheme::ladder(self.cfg.line());
+        let mut points = Vec::with_capacity(fig5::DWORDS.len() * schemes.len());
+        for &dwords in &fig5::DWORDS {
+            for &scheme in &schemes {
+                points.push(PointSpec {
+                    label: format!("{}/{}dw/{}", self.id, dwords, scheme),
+                    cfg: self.cfg.clone(),
+                    work: PointWork::Latency {
+                        dwords,
+                        scheme,
+                        residency: self.residency,
+                    },
+                });
+            }
+        }
+        points
+    }
 }
 
-fn decode_point_payload(bytes: &[u8]) -> Option<(PointValue, u64)> {
-    let mut r = csb_snap::SnapshotReader::new(bytes);
-    r.take_tag("pt").ok()?;
-    let value = match r.take_u8().ok()? {
-        0 => PointValue::Bandwidth(r.take_f64().ok()?),
-        1 => PointValue::Latency(r.take_u64().ok()?),
-        _ => return None,
-    };
-    let sim_cycles = r.take_u64().ok()?;
-    // `SnapshotWriter::finish` appends a checksum; the framed cache entry
-    // already verified integrity, so just consume it.
-    let _checksum = r.take_u64().ok()?;
-    r.expect_end("cached point payload").ok()?;
-    Some((value, sim_cycles))
+impl Panel for LatencyPanelSpec {
+    type Table = LatencyPanel;
+
+    fn points(&self) -> Vec<PointSpec> {
+        self.enumerate()
+    }
+
+    fn assemble(&self, values: &mut dyn Iterator<Item = PointValue>) -> LatencyPanel {
+        let schemes = Scheme::ladder(self.cfg.line());
+        let rows = fig5::DWORDS
+            .iter()
+            .map(|&dwords| LatencyRow {
+                transfer: dwords * DWORD_BYTES,
+                cycles: schemes
+                    .iter()
+                    .map(|_| {
+                        values
+                            .next()
+                            .and_then(PointValue::latency)
+                            .expect("one latency value per enumerated point")
+                    })
+                    .collect(),
+            })
+            .collect();
+        LatencyPanel {
+            id: self.id.clone(),
+            title: self.title.clone(),
+            schemes: schemes.iter().map(Scheme::to_string).collect(),
+            rows,
+        }
+    }
 }
 
 /// The number of workers `jobs = 0` ("all cores") resolves to.
@@ -398,10 +962,8 @@ where
 pub struct RunReport {
     /// Worker count the sweep ran with.
     pub jobs: usize,
-    /// Points executed (including failed ones).
+    /// Points executed.
     pub points: usize,
-    /// Points that returned an error.
-    pub errors: usize,
     /// Wall-clock for the whole sweep (enumeration to reassembly).
     pub wall: Duration,
     /// Sum of per-point wall-clock across all workers.
@@ -419,9 +981,9 @@ pub struct RunReport {
     /// Aggregate metrics across every observed point (present only when a
     /// sweep ran with [`ObsConfig::metrics`]).
     pub metrics: Option<MetricsSnapshot>,
-    /// Point-cache effectiveness over this sweep (present only when a
-    /// cache was active — see [`crate::cache::set_active`]).
-    pub cache: Option<crate::cache::CacheStats>,
+    /// Point-cache effectiveness over this sweep (present only when the
+    /// sweep consulted a cache — see [`RunCtx::cache`]).
+    pub cache: Option<CacheStats>,
 }
 
 impl RunReport {
@@ -457,7 +1019,6 @@ impl RunReport {
         self.capacity = self.pool_capacity() + other.pool_capacity();
         self.jobs = self.jobs.max(other.jobs);
         self.points += other.points;
-        self.errors += other.errors;
         self.wall += other.wall;
         self.busy += other.busy;
         self.sim_cycles += other.sim_cycles;
@@ -494,9 +1055,6 @@ impl RunReport {
             self.jobs.max(1),
             self.wall.as_secs_f64()
         ));
-        if self.errors > 0 {
-            out.push_str(&format!(" ({} failed)", self.errors));
-        }
         out.push('\n');
         let wall = self.wall.as_secs_f64();
         let per_point = if self.points > 0 {
@@ -544,347 +1102,16 @@ impl RunReport {
     }
 }
 
-/// Executes every spec on `jobs` workers, returning per-point results in
-/// spec order plus the sweep's [`RunReport`].
-pub fn run_points(
-    specs: &[PointSpec],
-    jobs: usize,
-) -> (Vec<Result<PointOutcome, ExpError>>, RunReport) {
-    run_points_observed(specs, jobs, ObsConfig::default())
-}
-
-/// [`run_points`] with artifact capture: every point runs with tracing
-/// and/or metrics enabled per `obs`, outcomes carry their
-/// [`PointArtifacts`], and (when metrics are on) the report aggregates a
-/// merged [`MetricsSnapshot`] across all points.
-pub fn run_points_observed(
-    specs: &[PointSpec],
-    jobs: usize,
-    obs: ObsConfig,
-) -> (Vec<Result<PointOutcome, ExpError>>, RunReport) {
-    let jobs = if jobs == 0 { default_jobs() } else { jobs };
-    let cache_before = crate::cache::active_stats();
-    let t0 = Instant::now();
-    // Each worker threads one simulator slot through its whole queue, so
-    // every point after a worker's first runs on a warm-reset simulator.
-    let results = parallel_map_with(
-        specs,
-        jobs,
-        || None,
-        |slot, spec| execute_point_reusing(slot, spec, obs),
-    );
-    let wall = t0.elapsed();
-    let workers = jobs.min(specs.len()).max(1);
-    let mut report = RunReport {
-        jobs: workers,
-        points: specs.len(),
-        wall,
-        capacity: wall * workers as u32,
-        ..RunReport::default()
-    };
-    for (spec, result) in specs.iter().zip(&results) {
-        match result {
-            Ok(outcome) => {
-                report.busy += outcome.wall;
-                report.sim_cycles += outcome.sim_cycles;
-                let slower = report
-                    .slowest
-                    .as_ref()
-                    .is_none_or(|(_, d)| outcome.wall > *d);
-                if slower {
-                    report.slowest = Some((spec.label.clone(), outcome.wall));
-                }
-                if let Some(point_metrics) = &outcome.artifacts.metrics {
-                    report
-                        .metrics
-                        .get_or_insert_with(MetricsSnapshot::default)
-                        .merge(&point_metrics.metrics);
-                }
-            }
-            Err(_) => report.errors += 1,
-        }
-    }
-    if let (Some(before), Some(after)) = (cache_before, crate::cache::active_stats()) {
-        // A cache was installed but no point consulted it (e.g. every
-        // point captured artifacts): nothing to report.
-        let delta = after.delta(&before);
-        if delta.any() {
-            report.cache = Some(delta);
-            // Surface the pair in the metrics aggregate too, so a metrics
-            // consumer sees cache effectiveness alongside the counters.
-            let m = report.metrics.get_or_insert_with(MetricsSnapshot::default);
-            m.counters.insert("cache.hit".to_string(), delta.hits);
-            m.counters.insert("cache.miss".to_string(), delta.misses);
-        }
-    }
-    (results, report)
-}
-
-/// Executes every spec and unwraps the values, failing with the error of
-/// the *lowest-indexed* failing point — exactly what a serial `?`-loop
-/// would report.
-///
-/// # Errors
-///
-/// The first (in spec order) point failure.
-pub fn run_values(
-    specs: &[PointSpec],
-    jobs: usize,
-) -> Result<(Vec<PointValue>, RunReport), ExpError> {
-    let (values, _, report) = run_values_observed(specs, jobs, ObsConfig::default())?;
-    Ok((values, report))
-}
-
-/// [`run_values`] with artifact capture: also returns one
-/// [`LabeledArtifacts`] per spec, in spec order (empty artifacts when
-/// `obs` captures nothing).
-///
-/// # Errors
-///
-/// The first (in spec order) point failure.
-pub fn run_values_observed(
-    specs: &[PointSpec],
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(Vec<PointValue>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    let (results, report) = run_points_observed(specs, jobs, obs);
-    let mut values = Vec::with_capacity(results.len());
-    let mut artifacts = Vec::with_capacity(results.len());
-    for (spec, r) in specs.iter().zip(results) {
-        let outcome = r?;
-        values.push(outcome.value);
-        artifacts.push(LabeledArtifacts {
-            label: spec.label.clone(),
-            value: outcome.value,
-            sim_cycles: outcome.sim_cycles,
-            wall: outcome.wall,
-            seed: 0,
-            config_hash: csb_obs::hash_config(&format!("{:?} {:?}", spec.cfg, spec.work)),
-            artifacts: outcome.artifacts,
-        });
-    }
-    Ok((values, artifacts, report))
-}
-
-/// Declarative description of one bandwidth panel: the engine expands it
-/// to [`TRANSFERS`] × the machine's scheme ladder.
-#[derive(Debug, Clone)]
-pub struct BandwidthPanelSpec {
-    /// Panel id, e.g. `"3a"`.
-    pub id: String,
-    /// Human-readable parameter description.
-    pub title: String,
-    /// The panel's machine.
-    pub cfg: SimConfig,
-}
-
-impl BandwidthPanelSpec {
-    /// Builds a spec.
-    pub fn new(id: impl Into<String>, title: impl Into<String>, cfg: SimConfig) -> Self {
-        BandwidthPanelSpec {
-            id: id.into(),
-            title: title.into(),
-            cfg,
-        }
-    }
-
-    /// The points this panel expands to, in row-major (transfer, scheme)
-    /// order — the serial harness's iteration order.
-    pub fn enumerate(&self) -> Vec<PointSpec> {
-        let schemes = Scheme::ladder(self.cfg.line());
-        let mut points = Vec::with_capacity(TRANSFERS.len() * schemes.len());
-        for &transfer in &TRANSFERS {
-            for &scheme in &schemes {
-                points.push(PointSpec {
-                    label: format!("{}/{}B/{}", self.id, transfer, scheme),
-                    cfg: self.cfg.clone(),
-                    work: PointWork::Bandwidth {
-                        transfer,
-                        scheme,
-                        order: StoreOrder::Ascending,
-                    },
-                });
-            }
-        }
-        points
-    }
-}
-
-/// Runs a set of bandwidth panels through the engine.
-///
-/// # Errors
-///
-/// The first (in enumeration order) point failure.
-pub fn run_bandwidth_panels(
-    panels: &[BandwidthPanelSpec],
-    jobs: usize,
-) -> Result<(Vec<BandwidthPanel>, RunReport), ExpError> {
-    let (assembled, _, report) = run_bandwidth_panels_observed(panels, jobs, ObsConfig::default())?;
-    Ok((assembled, report))
-}
-
-/// [`run_bandwidth_panels`] with artifact capture: also returns one
-/// [`LabeledArtifacts`] per enumerated point, in enumeration order.
-///
-/// # Errors
-///
-/// The first (in enumeration order) point failure.
-pub fn run_bandwidth_panels_observed(
-    panels: &[BandwidthPanelSpec],
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(Vec<BandwidthPanel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    let specs: Vec<PointSpec> = panels
-        .iter()
-        .flat_map(BandwidthPanelSpec::enumerate)
-        .collect();
-    let (values, artifacts, report) = run_values_observed(&specs, jobs, obs)?;
-    let mut iter = values.into_iter();
-    let assembled = panels
-        .iter()
-        .map(|panel| {
-            let schemes = Scheme::ladder(panel.cfg.line());
-            let rows = TRANSFERS
-                .iter()
-                .map(|&transfer| BandwidthRow {
-                    transfer,
-                    values: schemes
-                        .iter()
-                        .map(|_| {
-                            iter.next()
-                                .expect("one value per enumerated point")
-                                .bandwidth()
-                                .expect("bandwidth panels enumerate bandwidth points")
-                        })
-                        .collect(),
-                })
-                .collect();
-            BandwidthPanel {
-                id: panel.id.clone(),
-                title: panel.title.clone(),
-                schemes: schemes.iter().map(Scheme::to_string).collect(),
-                rows,
-            }
-        })
-        .collect();
-    Ok((assembled, artifacts, report))
-}
-
-/// Declarative description of one latency panel (Figure 5): expands to
-/// [`fig5::DWORDS`] × the machine's scheme ladder.
-#[derive(Debug, Clone)]
-pub struct LatencyPanelSpec {
-    /// Panel id, e.g. `"5a"`.
-    pub id: String,
-    /// Human-readable parameter description.
-    pub title: String,
-    /// The panel's machine.
-    pub cfg: SimConfig,
-    /// Whether the lock variable hits in the L1.
-    pub residency: LockResidency,
-}
-
-impl LatencyPanelSpec {
-    /// Builds a spec.
-    pub fn new(
-        id: impl Into<String>,
-        title: impl Into<String>,
-        cfg: SimConfig,
-        residency: LockResidency,
-    ) -> Self {
-        LatencyPanelSpec {
-            id: id.into(),
-            title: title.into(),
-            cfg,
-            residency,
-        }
-    }
-
-    /// The points this panel expands to, in row-major (dwords, scheme)
-    /// order.
-    pub fn enumerate(&self) -> Vec<PointSpec> {
-        let schemes = Scheme::ladder(self.cfg.line());
-        let mut points = Vec::with_capacity(fig5::DWORDS.len() * schemes.len());
-        for &dwords in &fig5::DWORDS {
-            for &scheme in &schemes {
-                points.push(PointSpec {
-                    label: format!("{}/{}dw/{}", self.id, dwords, scheme),
-                    cfg: self.cfg.clone(),
-                    work: PointWork::Latency {
-                        dwords,
-                        scheme,
-                        residency: self.residency,
-                    },
-                });
-            }
-        }
-        points
-    }
-}
-
-/// Runs a set of latency panels through the engine.
-///
-/// # Errors
-///
-/// The first (in enumeration order) point failure.
-pub fn run_latency_panels(
-    panels: &[LatencyPanelSpec],
-    jobs: usize,
-) -> Result<(Vec<LatencyPanel>, RunReport), ExpError> {
-    let (assembled, _, report) = run_latency_panels_observed(panels, jobs, ObsConfig::default())?;
-    Ok((assembled, report))
-}
-
-/// [`run_latency_panels`] with artifact capture: also returns one
-/// [`LabeledArtifacts`] per enumerated point, in enumeration order.
-///
-/// # Errors
-///
-/// The first (in enumeration order) point failure.
-pub fn run_latency_panels_observed(
-    panels: &[LatencyPanelSpec],
-    jobs: usize,
-    obs: ObsConfig,
-) -> Result<(Vec<LatencyPanel>, Vec<LabeledArtifacts>, RunReport), ExpError> {
-    let specs: Vec<PointSpec> = panels
-        .iter()
-        .flat_map(LatencyPanelSpec::enumerate)
-        .collect();
-    let (values, artifacts, report) = run_values_observed(&specs, jobs, obs)?;
-    let mut iter = values.into_iter();
-    let assembled = panels
-        .iter()
-        .map(|panel| {
-            let schemes = Scheme::ladder(panel.cfg.line());
-            let rows = fig5::DWORDS
-                .iter()
-                .map(|&dwords| LatencyRow {
-                    transfer: dwords * DWORD_BYTES,
-                    cycles: schemes
-                        .iter()
-                        .map(|_| {
-                            iter.next()
-                                .expect("one value per enumerated point")
-                                .latency()
-                                .expect("latency panels enumerate latency points")
-                        })
-                        .collect(),
-                })
-                .collect();
-            LatencyPanel {
-                id: panel.id.clone(),
-                title: panel.title.clone(),
-                schemes: schemes.iter().map(Scheme::to_string).collect(),
-                rows,
-            }
-        })
-        .collect();
-    Ok((assembled, artifacts, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ctx(jobs: usize) -> RunCtx {
+        RunCtx {
+            jobs,
+            ..RunCtx::default()
+        }
+    }
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -902,9 +1129,6 @@ mod tests {
 
     #[test]
     fn warm_reset_reuse_matches_cold_construction() {
-        use super::super::{bandwidth_sim, bandwidth_sim_into, POINT_LIMIT};
-        use fig5::{latency_sim, latency_sim_into};
-
         let small = SimConfig::default().line_size(32).bus(
             csb_bus::BusConfig::multiplexed(8)
                 .max_burst(32)
@@ -912,58 +1136,54 @@ mod tests {
                 .expect("static test bus config is valid"),
         );
         let default = SimConfig::default();
+        let spec = |cfg: &SimConfig, work| PointSpec {
+            label: String::new(),
+            cfg: cfg.clone(),
+            work,
+        };
+        let bw = |transfer, scheme, order| PointWork::Bandwidth {
+            transfer,
+            scheme,
+            order,
+        };
+        let lat = |dwords, scheme, residency| PointWork::Latency {
+            dwords,
+            scheme,
+            residency,
+        };
 
         // Bandwidth and latency points deliberately alternating machine
         // shapes, schemes, and workloads, all through ONE simulator slot —
         // every warm reset crosses a configuration change.
-        enum P {
-            Bw(SimConfig, usize, Scheme, StoreOrder),
-            Lat(SimConfig, usize, Scheme, LockResidency),
-        }
         let queue = [
-            P::Bw(default.clone(), 256, Scheme::Csb, StoreOrder::Ascending),
-            P::Lat(
-                default.clone(),
-                8,
-                Scheme::Uncached { block: 8 },
-                LockResidency::Miss,
+            spec(&default, bw(256, Scheme::Csb, StoreOrder::Ascending)),
+            spec(
+                &default,
+                lat(8, Scheme::Uncached { block: 8 }, LockResidency::Miss),
             ),
-            P::Bw(
-                small.clone(),
-                64,
-                Scheme::Uncached { block: 32 },
-                StoreOrder::Shuffled,
+            spec(
+                &small,
+                bw(64, Scheme::Uncached { block: 32 }, StoreOrder::Shuffled),
             ),
-            P::Lat(default.clone(), 4, Scheme::Csb, LockResidency::Hit),
-            P::Bw(default.clone(), 128, Scheme::R10k, StoreOrder::Ascending),
-            P::Bw(small, 512, Scheme::Ppc620, StoreOrder::Ascending),
+            spec(&default, lat(4, Scheme::Csb, LockResidency::Hit)),
+            spec(&default, bw(128, Scheme::R10k, StoreOrder::Ascending)),
+            spec(&small, bw(512, Scheme::Ppc620, StoreOrder::Ascending)),
         ];
 
+        let ctx = RunCtx::default();
         let mut slot: Option<Simulator> = None;
         for (i, p) in queue.iter().enumerate() {
-            let (warm, mut cold) = match p {
-                P::Bw(cfg, transfer, scheme, order) => {
-                    let warm = bandwidth_sim_into(&mut slot, cfg, *transfer, *scheme, *order)
-                        .expect("warm bandwidth sim");
-                    let cold =
-                        bandwidth_sim(cfg, *transfer, *scheme, *order).expect("cold bandwidth sim");
-                    (warm, cold)
-                }
-                P::Lat(cfg, dwords, scheme, residency) => {
-                    let warm = latency_sim_into(&mut slot, cfg, *dwords, *scheme, *residency)
-                        .expect("warm latency sim");
-                    let cold =
-                        latency_sim(cfg, *dwords, *scheme, *residency).expect("cold latency sim");
-                    (warm, cold)
-                }
-            };
+            let warm = p.install(&mut slot, &ctx).expect("warm install");
             let warm_summary = warm.run(POINT_LIMIT).expect("warm run completes");
+            let mut fresh = None;
+            let cold = p.install(&mut fresh, &ctx).expect("cold install");
             let cold_summary = cold.run(POINT_LIMIT).expect("cold run completes");
             assert_eq!(
                 serde_json::to_string(&warm_summary).unwrap(),
                 serde_json::to_string(&cold_summary).unwrap(),
                 "point {i}: warm-reset summary must be byte-identical to cold"
             );
+            let warm = slot.as_ref().expect("slot filled");
             assert_eq!(
                 serde_json::to_string(warm.device()).unwrap(),
                 serde_json::to_string(cold.device()).unwrap(),
@@ -974,7 +1194,7 @@ mod tests {
 
     #[test]
     fn run_points_first_error_wins() {
-        // Two invalid transfers among valid points: run_values must report
+        // Two invalid transfers among valid points: the sweep must report
         // the lowest-indexed failure regardless of worker count.
         let cfg = SimConfig::default();
         let point = |transfer: usize| PointSpec {
@@ -989,7 +1209,7 @@ mod tests {
         // transfer=7 is not a multiple of 8 → workload error.
         let specs = vec![point(16), point(7), point(32), point(3)];
         for jobs in [1, 4] {
-            let err = run_values(&specs, jobs).unwrap_err();
+            let err = run_sweep(&specs, &ctx(jobs)).unwrap_err();
             match err {
                 ExpError::Workload(crate::workloads::WorkloadError::BadTransfer { bytes }) => {
                     assert_eq!(bytes, 7, "jobs={jobs} must surface the first failure");
@@ -1010,13 +1230,14 @@ mod tests {
                 .expect("static test bus config is valid"),
         );
         let spec = BandwidthPanelSpec::new("t", "serial/parallel equivalence", cfg);
-        let (serial, r1) = run_bandwidth_panels(std::slice::from_ref(&spec), 1).unwrap();
-        let (parallel, r4) = run_bandwidth_panels(std::slice::from_ref(&spec), 4).unwrap();
+        let serial = run_panels(std::slice::from_ref(&spec), &ctx(1)).unwrap();
+        let parallel = run_panels(std::slice::from_ref(&spec), &ctx(4)).unwrap();
         assert_eq!(
-            serde_json::to_string(&serial).unwrap(),
-            serde_json::to_string(&parallel).unwrap()
+            serde_json::to_string(&serial.result).unwrap(),
+            serde_json::to_string(&parallel.result).unwrap()
         );
-        assert_eq!(serial[0].to_table(), parallel[0].to_table());
+        assert_eq!(serial.result[0].to_table(), parallel.result[0].to_table());
+        let (r1, r4) = (serial.report, parallel.report);
         assert_eq!(r1.points, r4.points);
         assert_eq!(r1.sim_cycles, r4.sim_cycles, "same points were simulated");
         assert_eq!(r1.jobs, 1);
@@ -1026,13 +1247,50 @@ mod tests {
     #[test]
     fn latency_panel_parallel_matches_serial() {
         let spec = fig5::panel_spec(&SimConfig::default(), LockResidency::Hit);
-        let (serial, _) = run_latency_panels(std::slice::from_ref(&spec), 1).unwrap();
-        let (parallel, _) = run_latency_panels(std::slice::from_ref(&spec), 3).unwrap();
+        let serial = run_panels(std::slice::from_ref(&spec), &ctx(1)).unwrap();
+        let parallel = run_panels(std::slice::from_ref(&spec), &ctx(3)).unwrap();
         assert_eq!(
-            serde_json::to_string(&serial).unwrap(),
-            serde_json::to_string(&parallel).unwrap()
+            serde_json::to_string(&serial.result).unwrap(),
+            serde_json::to_string(&parallel.result).unwrap()
         );
-        assert_eq!(serial[0].to_table(), parallel[0].to_table());
+        assert_eq!(serial.result[0].to_table(), parallel.result[0].to_table());
+    }
+
+    #[test]
+    fn every_sweep_reports_pool_shape_and_slowest_point() {
+        // The report is assembled once, in the engine, so every sweep
+        // agrees on it: the worker count is the resolved `jobs` capped at
+        // the point count, capacity is wall × workers, and a slowest point
+        // is named. `jobs = 0` resolves to all cores.
+        use super::super::{contend, faults, fig3, messaging};
+        for jobs in [0, 2] {
+            let ctx = ctx(jobs);
+            let reports = [
+                ("faults", faults::run(&ctx).unwrap().report),
+                (
+                    "contend",
+                    run_sweep(&contend::points()[..2], &ctx).unwrap().report,
+                ),
+                ("messaging", messaging::run(&ctx).unwrap().report),
+                (
+                    "fig3e",
+                    run_panels(&[fig3::PANELS[4].spec()], &ctx).unwrap().report,
+                ),
+            ];
+            for (name, report) in reports {
+                assert_eq!(
+                    report.jobs,
+                    ctx.workers().min(report.points),
+                    "{name} jobs={jobs}"
+                );
+                assert_eq!(
+                    report.pool_capacity(),
+                    report.wall * report.jobs as u32,
+                    "{name} jobs={jobs}"
+                );
+                assert!(report.slowest.is_some(), "{name} jobs={jobs}");
+            }
+        }
     }
 
     #[test]
@@ -1049,7 +1307,6 @@ mod tests {
         let b = RunReport {
             jobs: 1,
             points: 1,
-            errors: 1,
             wall: Duration::from_secs(1),
             busy: Duration::from_secs(1),
             sim_cycles: 50,
@@ -1059,7 +1316,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.jobs, 2);
         assert_eq!(a.points, 5);
-        assert_eq!(a.errors, 1);
         assert_eq!(a.sim_cycles, 150);
         assert_eq!(a.slowest.as_ref().unwrap().0, "b");
         // Capacity is per-sweep wall × jobs: 2s × 2 + 1s × 1 = 5s — NOT
@@ -1072,8 +1328,8 @@ mod tests {
 
     #[test]
     fn merge_normalizes_untracked_capacity() {
-        // A report built without an explicit capacity (older producer /
-        // hand-rolled) falls back to wall × jobs on both sides of a merge.
+        // A report built without an explicit capacity (hand-rolled) falls
+        // back to wall × jobs on both sides of a merge.
         let mut a = RunReport {
             jobs: 4,
             wall: Duration::from_secs(1),
@@ -1092,6 +1348,11 @@ mod tests {
         assert_eq!(a.pool_capacity(), Duration::from_secs(8));
         assert!((a.utilization() - 6.0 / 8.0).abs() < 1e-9);
     }
+
+    const FULL_OBS: ObsConfig = ObsConfig {
+        trace: true,
+        metrics: true,
+    };
 
     #[test]
     fn observed_run_captures_artifacts_and_merged_metrics() {
@@ -1116,15 +1377,16 @@ mod tests {
                 },
             },
         ];
-        let obs = ObsConfig {
-            trace: true,
-            metrics: true,
+        let ctx = RunCtx {
+            jobs: 2,
+            obs: FULL_OBS,
+            ..RunCtx::default()
         };
-        let (values, artifacts, report) = run_values_observed(&specs, 2, obs).unwrap();
-        assert_eq!(values.len(), 2);
-        assert_eq!(artifacts.len(), 2);
+        let out = run_sweep(&specs, &ctx).unwrap();
+        assert_eq!(out.result.len(), 2);
+        assert_eq!(out.artifacts.len(), 2);
         let mut flushes = 0;
-        for la in &artifacts {
+        for la in &out.artifacts {
             let trace = la.artifacts.trace_json.as_deref().expect("trace captured");
             assert!(serde_json::parse_value(trace).is_ok(), "{}", la.label);
             let m = la.artifacts.metrics.as_ref().expect("metrics captured");
@@ -1136,9 +1398,9 @@ mod tests {
             flushes += m.csb.flush_successes;
         }
         // The report's aggregate is the sum of the per-point snapshots.
-        let agg = report.metrics.as_ref().expect("aggregate metrics");
+        let agg = out.report.metrics.as_ref().expect("aggregate metrics");
         assert_eq!(agg.histograms["csb_flush_retry_latency"].count, flushes);
-        let rendered = report.render();
+        let rendered = out.report.render();
         assert!(rendered.contains("flush retry latency"));
         assert!(rendered.contains(" p99 "), "{rendered}");
         assert!(rendered.contains(" p99.9 "), "{rendered}");
@@ -1155,10 +1417,9 @@ mod tests {
                 order: StoreOrder::Ascending,
             },
         }];
-        let (results, report) = run_points(&specs, 1);
-        let outcome = results[0].as_ref().unwrap();
-        assert!(outcome.artifacts.is_empty());
-        assert!(report.metrics.is_none());
+        let out = run_sweep(&specs, &RunCtx::default()).unwrap();
+        assert!(out.artifacts[0].artifacts.is_empty());
+        assert!(out.report.metrics.is_none());
     }
 
     #[test]
@@ -1167,16 +1428,18 @@ mod tests {
         // simulations and reassembled by index, so worker count must not
         // leak into them.
         let spec = fig5::panel_spec(&SimConfig::default(), LockResidency::Hit);
-        let obs = ObsConfig {
-            trace: true,
-            metrics: true,
+        let short: Vec<PointSpec> = spec.enumerate().into_iter().take(6).collect();
+        let run = |jobs| {
+            let ctx = RunCtx {
+                jobs,
+                obs: FULL_OBS,
+                ..RunCtx::default()
+            };
+            run_sweep(&short, &ctx).unwrap()
         };
-        let specs = spec.enumerate();
-        let short: Vec<PointSpec> = specs.into_iter().take(6).collect();
-        let (v1, a1, _) = run_values_observed(&short, 1, obs).unwrap();
-        let (v4, a4, _) = run_values_observed(&short, 4, obs).unwrap();
-        assert_eq!(v1, v4);
-        for (x, y) in a1.iter().zip(&a4) {
+        let (one, four) = (run(1), run(4));
+        assert_eq!(one.result, four.result);
+        for (x, y) in one.artifacts.iter().zip(&four.artifacts) {
             assert_eq!(x.label, y.label);
             assert_eq!(x.artifacts.trace_json, y.artifacts.trace_json);
             assert_eq!(

@@ -7,7 +7,7 @@
 //! the measured region, then `reps` executions run back to back through
 //! it, each a warm reset ([`Simulator::reset_with`], including the lock
 //! line warm/evict replay) followed by the simulation loop — exactly the
-//! per-worker reuse path [`super::runner::run_points`] takes after its
+//! per-worker reuse path [`super::runner::run_sweep`] takes after its
 //! first point. Fast-forward is toggled per leg, and the measured values
 //! of both legs are asserted identical, so the throughput bench doubles
 //! as one more differential check. `runner_bench` serializes the
@@ -17,12 +17,12 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use super::runner::{PointSpec, PointValue, PointWork};
+use super::runner::{PointSpec, PointValue, PointWork, RunCtx};
 use super::{contend, fig4, fig5, messaging, ExpError, Scheme, POINT_LIMIT};
 use crate::config::SimConfig;
 use crate::multiproc::{MultiSim, SchedulerMode, SwitchPolicy};
-use crate::sim::{RunSummary, SimError, Simulator};
-use crate::workloads::{self, StoreOrder, MARK_END, MARK_START};
+use crate::sim::{SimError, Simulator};
+use crate::workloads::{self, StoreOrder};
 
 /// Before/after throughput for one figure point.
 #[derive(Debug, Clone, Serialize)]
@@ -188,20 +188,11 @@ fn prepare_into<'a>(
     spec: &PointSpec,
     fast_forward: bool,
 ) -> Result<&'a mut Simulator, ExpError> {
-    let sim = match spec.work {
-        PointWork::Bandwidth {
-            transfer,
-            scheme,
-            order,
-        } => super::bandwidth_sim_into(slot, &spec.cfg, transfer, scheme, order)?,
-        PointWork::Latency {
-            dwords,
-            scheme,
-            residency,
-        } => fig5::latency_sim_into(slot, &spec.cfg, dwords, scheme, residency)?,
+    let ctx = RunCtx {
+        fast_forward,
+        ..RunCtx::default()
     };
-    sim.set_fast_forward(fast_forward);
-    Ok(sim)
+    spec.install(slot, &ctx)
 }
 
 /// Cold-builds the ready-to-run simulator for `spec` (test hook).
@@ -210,18 +201,6 @@ fn prepare(spec: &PointSpec, fast_forward: bool) -> Result<Simulator, ExpError> 
     let mut slot = None;
     prepare_into(&mut slot, spec, fast_forward)?;
     Ok(slot.expect("slot was just filled"))
-}
-
-/// Extracts the figure value a completed run measured.
-fn point_value(work: &PointWork, summary: &RunSummary) -> Result<PointValue, ExpError> {
-    match work {
-        PointWork::Bandwidth { .. } => Ok(PointValue::Bandwidth(summary.bus.effective_bandwidth())),
-        PointWork::Latency { .. } => summary
-            .cpu
-            .mark_interval(MARK_START, MARK_END)
-            .map(PointValue::Latency)
-            .ok_or(ExpError::MissingMark),
-    }
 }
 
 /// One timed sample of one leg of a point.
@@ -281,7 +260,7 @@ fn sample(
     Ok(Sample {
         wall_s: wall / reps as f64,
         cycles_per_sec: total as f64 / wall,
-        value: point_value(&spec.work, &last)?,
+        value: spec.measure(&last)?,
         cycles: last.cycles,
         ticks,
     })
@@ -454,22 +433,29 @@ pub const MESSAGING_POINT_LABEL: &str = "msg/csb/8B/r90/backoff";
 /// most of the run in backoff delay loops — the loop-skip's home turf.
 /// The sample's value is the summary and delivered-message log.
 fn messaging_sample(fast_forward: bool, reps: usize) -> Result<Sample<String>, ExpError> {
-    use messaging::SendPath;
-    let policy = workloads::RetryPolicy::Backoff {
-        attempts: 12,
-        base: 32,
-        max: 1024,
-        seed: 0,
+    let point = messaging::MessagingPoint {
+        path: messaging::SendPath::Csb,
+        size: 1,
+        policy: workloads::RetryPolicy::Backoff {
+            attempts: 12,
+            base: 32,
+            max: 1024,
+            seed: 0,
+        },
+        rate: 0.9,
+        seed: 0x0e2e_0000 + 100_000 + 2_000,
     };
-    let seed = 0x0e2e_0000 + 100_000 + 2_000;
+    let ctx = RunCtx {
+        fast_forward,
+        ..RunCtx::default()
+    };
     let mut slot = None;
-    messaging::prepare_point(&mut slot, SendPath::Csb, 1, policy, 0.9, seed)?;
+    point.install(&mut slot, &ctx)?;
     let reps = reps.max(1);
     let (mut cycles, mut ticks, mut digest) = (0, 0, String::new());
     let t0 = Instant::now();
     for _ in 0..reps {
-        let sim = messaging::prepare_point(&mut slot, SendPath::Csb, 1, policy, 0.9, seed)?;
-        sim.set_fast_forward(fast_forward);
+        let sim = point.install(&mut slot, &ctx)?;
         match sim.run(messaging::POINT_LIMIT) {
             Ok(_) | Err(SimError::Livelock(_)) => {}
             Err(e) => return Err(e.into()),

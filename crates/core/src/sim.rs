@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use csb_bus::{BusStats, SystemBus, TxnKind};
 use csb_cpu::{Cpu, CpuHorizon, CpuStats, MemPort, Pid, StallCause};
@@ -20,6 +19,7 @@ use serde::Serialize;
 
 use crate::config::{SimConfig, SimConfigError};
 use crate::device::IoDevice;
+use crate::snapshot::AutosnapConfig;
 
 /// Error from constructing or running a [`Simulator`].
 #[derive(Debug)]
@@ -856,22 +856,6 @@ pub struct MetricsReport {
     pub metrics: MetricsSnapshot,
 }
 
-/// Default for [`Simulator`]'s fast-forward switch (process-wide).
-static DEFAULT_FAST_FORWARD: AtomicBool = AtomicBool::new(true);
-
-/// Sets the process-wide default for event-driven fast-forward in newly
-/// built [`Simulator`]s (the `--no-fast-forward` escape hatch on the
-/// bench binaries). Existing simulators are unaffected; use
-/// [`Simulator::set_fast_forward`] for those.
-pub fn set_default_fast_forward(on: bool) {
-    DEFAULT_FAST_FORWARD.store(on, Ordering::Relaxed);
-}
-
-/// The current process-wide default for event-driven fast-forward.
-pub fn default_fast_forward() -> bool {
-    DEFAULT_FAST_FORWARD.load(Ordering::Relaxed)
-}
-
 /// Aggregated results of a simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunSummary {
@@ -932,6 +916,9 @@ pub struct Simulator {
     /// Event-driven idle-gap skipping (cycle-exact; see
     /// [`Simulator::set_fast_forward`]).
     fast_forward: bool,
+    /// Periodic snapshot dumping for [`Simulator::run`] (see
+    /// [`Simulator::set_autosnap`]).
+    autosnap: Option<AutosnapConfig>,
     /// CPU cycles until the next bus tick (hoisted out of the per-cycle
     /// `now % ratio` check).
     bus_countdown: u64,
@@ -986,7 +973,8 @@ impl Simulator {
             cfg,
             cpu,
             machine,
-            fast_forward: default_fast_forward(),
+            fast_forward: true,
+            autosnap: None,
             bus_countdown: 0,
             ticks: 0,
             watchdog: WatchdogConfig::default(),
@@ -1047,7 +1035,8 @@ impl Simulator {
         self.cpu
             .reset_with(cfg.cpu, program, csb_cpu::CpuContext::new(0));
         self.cfg = cfg;
-        self.fast_forward = default_fast_forward();
+        self.fast_forward = true;
+        self.autosnap = None;
         self.bus_countdown = 0;
         self.ticks = 0;
         self.watchdog = WatchdogConfig::default();
@@ -1412,8 +1401,8 @@ impl Simulator {
 
     /// Enables or disables event-driven fast-forward for this simulator.
     ///
-    /// When enabled (the default, unless overridden process-wide with
-    /// [`set_default_fast_forward`]), [`Simulator::advance`] jumps the
+    /// When enabled (the default after [`Simulator::new`] and
+    /// [`Simulator::reset_with`]), [`Simulator::advance`] jumps the
     /// clock over cycles in which provably nothing can happen — the CPU
     /// pipeline is stalled or drained and no bus slot or uncached
     /// completion falls in the gap — bulk-updating cycle counters and
@@ -1426,6 +1415,15 @@ impl Simulator {
     /// each jump, so the exported trace is byte-identical either way.
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
+    }
+
+    /// Installs (or with `None` removes) periodic snapshotting for
+    /// [`Simulator::run`]: every `every` CPU cycles a restorable snapshot
+    /// is written into the configured directory, named by the machine's
+    /// configuration and program fingerprints plus the cycle. Results are
+    /// byte-identical to a plain run. [`Simulator::reset_with`] clears it.
+    pub fn set_autosnap(&mut self, cfg: Option<AutosnapConfig>) {
+        self.autosnap = cfg;
     }
 
     /// `true` if event-driven fast-forward is enabled for this simulator.
@@ -1675,7 +1673,7 @@ impl Simulator {
     /// NACKing every delivery, or conditional-flush retries that can
     /// never succeed).
     pub fn run(&mut self, limit: u64) -> Result<RunSummary, SimError> {
-        if let Some(auto) = crate::snapshot::autosnap() {
+        if let Some(auto) = self.autosnap.clone() {
             return self.run_autosnap(limit, &auto);
         }
         while !self.complete() {

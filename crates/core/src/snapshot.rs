@@ -50,7 +50,6 @@
 
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use csb_isa::Program;
 use csb_snap::{fnv1a, SnapshotError, SnapshotReader, SnapshotWriter};
@@ -221,30 +220,12 @@ impl Simulator {
     }
 }
 
-/// Periodic snapshot dumping for every [`Simulator::run`] in the
-/// process (see [`set_autosnap`]).
+/// Periodic snapshot dumping for [`Simulator::run`] (see
+/// [`Simulator::set_autosnap`]).
 #[derive(Debug, Clone)]
 pub struct AutosnapConfig {
     /// CPU cycles between dumps.
     pub every: u64,
     /// Directory the `snap-*.bin` files go to.
     pub dir: PathBuf,
-}
-
-static AUTOSNAP: Mutex<Option<AutosnapConfig>> = Mutex::new(None);
-
-/// Installs (or with `None` removes) process-wide periodic snapshotting:
-/// every subsequent [`Simulator::run`] dumps a restorable snapshot every
-/// `every` CPU cycles into `dir`, named by the machine's configuration
-/// and program fingerprints plus the cycle. The bench binaries wire this
-/// to `--snapshot-every` so a long or misbehaving point can be resumed
-/// and dissected from the nearest dump instead of re-simulated from
-/// cycle zero.
-pub fn set_autosnap(cfg: Option<AutosnapConfig>) {
-    *AUTOSNAP.lock().expect("autosnap registry poisoned") = cfg;
-}
-
-/// The installed autosnap configuration, if any.
-pub fn autosnap() -> Option<AutosnapConfig> {
-    AUTOSNAP.lock().expect("autosnap registry poisoned").clone()
 }

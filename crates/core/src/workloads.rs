@@ -461,6 +461,34 @@ impl RetryPolicy {
             RetryPolicy::Backoff { .. } => "backoff",
         }
     }
+
+    /// Column label including the attempt budget, e.g. `"bounded-4"`.
+    pub fn label(self) -> String {
+        match self {
+            RetryPolicy::NaiveSpin => "naive-spin".to_string(),
+            RetryPolicy::Bounded { attempts } => format!("bounded-{attempts}"),
+            RetryPolicy::Backoff { attempts, .. } => format!("backoff-{attempts}"),
+        }
+    }
+
+    /// This policy with its jitter seed replaced (backoff only), so actors
+    /// given different seeds de-synchronize their retries.
+    pub fn with_seed(self, seed: u64) -> RetryPolicy {
+        match self {
+            RetryPolicy::Backoff {
+                attempts,
+                base,
+                max,
+                ..
+            } => RetryPolicy::Backoff {
+                attempts,
+                base,
+                max,
+                seed,
+            },
+            other => other,
+        }
+    }
 }
 
 /// Assembly-time jitter for [`RetryPolicy::Backoff`] (SplitMix64, same

@@ -8,10 +8,20 @@
 use std::fs;
 use std::path::PathBuf;
 
-use csb_core::experiments::{bandwidth_panel, fig5};
+use csb_core::experiments::runner::{run_panels, BandwidthPanelSpec, RunCtx};
+use csb_core::experiments::{fig5, BandwidthPanel};
 use csb_core::{SimConfig, Simulator, COMBINING_BASE, LOCK_ADDR, UNCACHED_BASE};
 use csb_cpu::{CpuConfig, InstTrace};
 use csb_isa::{AluOp, Assembler, FReg, FpuOp, MemWidth, Program, Reg};
+
+/// Runs one bandwidth panel serially.
+fn bandwidth_panel(id: &str, title: &str, cfg: SimConfig) -> BandwidthPanel {
+    let spec = BandwidthPanelSpec::new(id, title, cfg);
+    run_panels(&[spec], &RunCtx::default())
+        .expect("panel simulates")
+        .result
+        .remove(0)
+}
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -49,7 +59,9 @@ fn check_text(name: &str, actual: &str) {
 
 #[test]
 fn fig5_panels_match_golden() {
-    let panels = fig5::run().expect("Figure 5 simulates");
+    let panels = fig5::run(&RunCtx::default())
+        .expect("Figure 5 simulates")
+        .result;
     check_or_update("fig5.json", &panels);
 }
 
@@ -57,7 +69,7 @@ fn fig5_panels_match_golden() {
 fn fig3e_panel_matches_golden() {
     // The central Figure 3 panel: ratio 6, 64-byte line, idle bus.
     let cfg = SimConfig::default();
-    let panel = bandwidth_panel("3e", "ratio 6, 64B line", &cfg).expect("panel simulates");
+    let panel = bandwidth_panel("3e", "ratio 6, 64B line", cfg);
     check_or_update("fig3e.json", &panel);
 }
 
@@ -69,7 +81,7 @@ fn fig4a_panel_matches_golden() {
             .build()
             .expect("valid bus"),
     );
-    let panel = bandwidth_panel("4a", "16B split bus", &cfg).expect("panel simulates");
+    let panel = bandwidth_panel("4a", "16B split bus", cfg);
     check_or_update("fig4a.json", &panel);
 }
 

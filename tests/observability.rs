@@ -10,7 +10,7 @@ use std::path::PathBuf;
 
 use csb_core::experiments::fig5::{self, LockResidency};
 use csb_core::experiments::runner::{
-    execute_point_observed, run_values_observed, ObsConfig, PointSpec, PointWork,
+    run_sweep, LabeledArtifacts, ObsConfig, PointSpec, PointWork, RunCtx,
 };
 use csb_core::experiments::{throughput, Scheme};
 use csb_core::{workloads, FaultConfig, SimConfig, Simulator};
@@ -22,6 +22,23 @@ const FULL_OBS: ObsConfig = ObsConfig {
     trace: true,
     metrics: true,
 };
+
+/// Settings for a fully observed sweep on `jobs` workers.
+fn observed(jobs: usize) -> RunCtx {
+    RunCtx {
+        jobs,
+        obs: FULL_OBS,
+        ..RunCtx::default()
+    }
+}
+
+/// Runs one point through the sweep engine with full capture.
+fn observe_point(spec: &PointSpec) -> LabeledArtifacts {
+    run_sweep(std::slice::from_ref(spec), &observed(1))
+        .expect("point simulates")
+        .artifacts
+        .remove(0)
+}
 
 /// A tiny fig5-style point: the CSB path of the 4-doubleword lock
 /// sequence on the paper's default machine.
@@ -71,7 +88,7 @@ fn num_field(event: &Value, key: &str) -> Option<f64> {
 
 #[test]
 fn chrome_trace_is_schema_valid_with_distinct_tracks() {
-    let outcome = execute_point_observed(&csb_point(), FULL_OBS).expect("point simulates");
+    let outcome = observe_point(&csb_point());
     let trace = outcome.artifacts.trace_json.expect("trace captured");
     let doc = serde_json::parse_value(&trace).expect("trace is valid JSON");
     let events = trace_events(&doc);
@@ -117,7 +134,7 @@ fn chrome_trace_is_schema_valid_with_distinct_tracks() {
 
 #[test]
 fn metrics_artifact_matches_simulator_stats() {
-    let outcome = execute_point_observed(&csb_point(), FULL_OBS).expect("point simulates");
+    let outcome = observe_point(&csb_point());
     let report = outcome.artifacts.metrics.expect("metrics captured");
     // The acceptance invariant: one flush-retry-latency observation per
     // successful conditional flush.
@@ -167,9 +184,10 @@ fn artifacts_stable_across_worker_counts() {
             },
         })
         .collect();
-    let (v1, a1, _) = run_values_observed(&specs, 1, FULL_OBS).expect("serial sweep");
-    let (v4, a4, _) = run_values_observed(&specs, 4, FULL_OBS).expect("parallel sweep");
-    assert_eq!(v1, v4);
+    let serial = run_sweep(&specs, &observed(1)).expect("serial sweep");
+    let parallel = run_sweep(&specs, &observed(4)).expect("parallel sweep");
+    assert_eq!(serial.result, parallel.result);
+    let (a1, a4) = (serial.artifacts, parallel.artifacts);
     assert_eq!(a1.len(), a4.len());
     for (x, y) in a1.iter().zip(&a4) {
         assert_eq!(x.label, y.label);
@@ -187,16 +205,20 @@ fn artifacts_stable_across_worker_counts() {
 #[test]
 fn disabled_observability_keeps_tables_identical() {
     // The zero-cost-when-disabled claim, end to end: a run with capture
-    // off must produce the same panel bytes as one that never heard of
-    // observability.
-    let (plain, _) = fig5::run_jobs(2).expect("Figure 5 simulates");
-    let (observed, artifacts, _) =
-        fig5::run_jobs_observed(2, ObsConfig::default()).expect("Figure 5 simulates");
+    // off must produce the same panel bytes as one that captures
+    // everything, and carry no artifacts.
+    let plain_ctx = RunCtx {
+        jobs: 2,
+        ..RunCtx::default()
+    };
+    let plain = fig5::run(&plain_ctx).expect("Figure 5 simulates");
+    let traced = fig5::run(&observed(2)).expect("Figure 5 simulates");
     assert_eq!(
-        serde_json::to_string(&plain).unwrap(),
-        serde_json::to_string(&observed).unwrap()
+        serde_json::to_string(&plain.result).unwrap(),
+        serde_json::to_string(&traced.result).unwrap()
     );
-    assert!(artifacts.iter().all(|la| la.artifacts.is_empty()));
+    assert!(plain.artifacts.iter().all(|la| la.artifacts.is_empty()));
+    assert!(traced.artifacts.iter().all(|la| !la.artifacts.is_empty()));
 }
 
 /// Runs `program` traced + metered through both loops and asserts the
@@ -319,7 +341,7 @@ fn timeline_window_sums_match_run_totals() {
 
 #[test]
 fn golden_trace_snapshot() {
-    let outcome = execute_point_observed(&csb_point(), FULL_OBS).expect("point simulates");
+    let outcome = observe_point(&csb_point());
     let trace = outcome.artifacts.trace_json.expect("trace captured");
     let path =
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/trace_5a_4dw_csb.json");

@@ -176,7 +176,10 @@ fn anchor_latency_slopes() {
 /// dependencies."
 #[test]
 fn anchor_lock_overhead_width_insensitive() {
-    let rows = csb_core::experiments::ablations::superscalar_widths(4).unwrap();
+    let ctx = csb_core::experiments::runner::RunCtx::default();
+    let rows = csb_core::experiments::ablations::superscalar_widths(4, &ctx)
+        .unwrap()
+        .result;
     let four = rows.iter().find(|r| r.width == 4).unwrap().lock_cycles;
     for r in &rows {
         assert!(

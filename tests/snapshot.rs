@@ -9,10 +9,10 @@
 //! entry is detected and transparently re-simulated, and changing one
 //! point's configuration invalidates exactly that point.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use csb_core::experiments::runner::{run_values, PointSpec, PointWork};
-use csb_core::experiments::Scheme;
+use csb_core::experiments::runner::{run_sweep, ObsConfig, PointSpec, PointWork, RunCtx};
+use csb_core::experiments::{faults, Scheme};
 use csb_core::multiproc::{MultiSim, SwitchPolicy};
 use csb_core::workloads::{self, RetryPolicy, StoreOrder};
 use csb_core::{cache, FaultConfig, RestoreError, SimConfig, SimError, Simulator, WatchdogConfig};
@@ -496,22 +496,43 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Point-cache contract. The cache is process-global, so these tests
-// serialize on one lock and install/remove their own stores.
+// Point-cache contract. Each test hands its own store to the sweeps it runs
+// through a `RunCtx`, so the tests share nothing and run in parallel.
 // ---------------------------------------------------------------------------
 
-static CACHE_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_cache<T>(name: &str, f: impl FnOnce(&cache::PointCache) -> T) -> T {
-    let _guard = CACHE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn with_cache<T>(name: &str, f: impl FnOnce(&RunCtx, &cache::PointCache) -> T) -> T {
     let dir = std::env::temp_dir().join(format!("csb-snapshot-test-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Arc::new(cache::PointCache::open(&dir).expect("cache dir"));
-    cache::set_active(Some(store.clone()));
-    let out = f(&store);
-    cache::set_active(None);
+    let ctx = RunCtx {
+        cache: Some(store.clone()),
+        ..RunCtx::default()
+    };
+    let out = f(&ctx, &store);
     let _ = std::fs::remove_dir_all(&dir);
     out
+}
+
+/// `ctx` on `jobs` workers.
+fn on(ctx: &RunCtx, jobs: usize) -> RunCtx {
+    RunCtx {
+        jobs,
+        ..ctx.clone()
+    }
+}
+
+/// Flips one byte in the middle of one entry of the store.
+fn corrupt_one_entry(store: &cache::PointCache) {
+    let entry = std::fs::read_dir(store.dir())
+        .unwrap()
+        .next()
+        .expect("at least one entry")
+        .unwrap()
+        .path();
+    let mut bytes = std::fs::read(&entry).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xff;
+    std::fs::write(&entry, &bytes).unwrap();
 }
 
 fn small_specs() -> Vec<PointSpec> {
@@ -532,16 +553,16 @@ fn small_specs() -> Vec<PointSpec> {
 
 #[test]
 fn warm_sweep_is_all_hits_with_identical_values() {
-    with_cache("warm", |store| {
+    with_cache("warm", |ctx, _| {
         let specs = small_specs();
-        let (cold_values, cold_report) = run_values(&specs, 1).unwrap();
-        let cold = cold_report.cache.expect("cache stats recorded");
+        let cold_run = run_sweep(&specs, &on(ctx, 1)).unwrap();
+        let cold = cold_run.report.cache.expect("cache stats recorded");
         assert_eq!(cold.misses, specs.len() as u64);
         assert_eq!(cold.hits, 0);
         assert!(cold.bytes_written > 0);
 
-        let (warm_values, warm_report) = run_values(&specs, 2).unwrap();
-        let warm = warm_report.cache.expect("cache stats recorded");
+        let warm_run = run_sweep(&specs, &on(ctx, 2)).unwrap();
+        let warm = warm_run.report.cache.expect("cache stats recorded");
         assert_eq!(
             warm.hits,
             specs.len() as u64,
@@ -549,12 +570,14 @@ fn warm_sweep_is_all_hits_with_identical_values() {
         );
         assert_eq!(warm.misses, 0);
         assert_eq!(warm.invalidations, 0);
-        assert_eq!(warm_values, cold_values, "cached values must be identical");
-        assert_eq!(store.stats().hits, specs.len() as u64);
+        assert_eq!(
+            warm_run.result, cold_run.result,
+            "cached values must be identical"
+        );
 
         // The report surfaces the pair as metrics counters too.
-        assert!(warm_report.render().contains("cache"));
-        let m = warm_report.metrics.expect("cache counters in metrics");
+        assert!(warm_run.report.render().contains("cache"));
+        let m = warm_run.report.metrics.expect("cache counters in metrics");
         assert_eq!(m.counters["cache.hit"], specs.len() as u64);
         assert_eq!(m.counters["cache.miss"], 0);
     });
@@ -562,45 +585,34 @@ fn warm_sweep_is_all_hits_with_identical_values() {
 
 #[test]
 fn corrupted_entry_is_detected_and_resimulated() {
-    with_cache("corrupt", |store| {
+    with_cache("corrupt", |ctx, store| {
         let specs = small_specs();
-        let (cold_values, _) = run_values(&specs, 1).unwrap();
+        let cold = run_sweep(&specs, ctx).unwrap().result;
+        corrupt_one_entry(store);
 
-        // Flip one byte in one entry.
-        let entry = std::fs::read_dir(store.dir())
-            .unwrap()
-            .next()
-            .expect("at least one entry")
-            .unwrap()
-            .path();
-        let mut bytes = std::fs::read(&entry).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&entry, &bytes).unwrap();
-
-        let (warm_values, report) = run_values(&specs, 1).unwrap();
-        let stats = report.cache.expect("cache stats recorded");
+        let warm = run_sweep(&specs, ctx).unwrap();
+        let stats = warm.report.cache.expect("cache stats recorded");
         assert_eq!(stats.invalidations, 1, "corruption must be detected");
         assert_eq!(stats.misses, 1, "the corrupted point re-simulates");
         assert_eq!(stats.hits, specs.len() as u64 - 1);
-        assert_eq!(warm_values, cold_values, "values must survive corruption");
+        assert_eq!(warm.result, cold, "values must survive corruption");
 
         // The re-simulated entry was rewritten: a third sweep is all hits.
-        let (_, report) = run_values(&specs, 1).unwrap();
+        let report = run_sweep(&specs, ctx).unwrap().report;
         assert_eq!(report.cache.unwrap().hits, specs.len() as u64);
     });
 }
 
 #[test]
 fn config_change_invalidates_only_that_point() {
-    with_cache("invalidate", |_| {
+    with_cache("invalidate", |ctx, _| {
         let mut specs = small_specs();
-        let (_, cold_report) = run_values(&specs, 1).unwrap();
-        assert_eq!(cold_report.cache.unwrap().misses, specs.len() as u64);
+        let cold = run_sweep(&specs, ctx).unwrap().report;
+        assert_eq!(cold.cache.unwrap().misses, specs.len() as u64);
 
         // Change ONE point's machine configuration.
         specs[1].cfg = SimConfig::default().line_size(32);
-        let (_, report) = run_values(&specs, 1).unwrap();
+        let report = run_sweep(&specs, ctx).unwrap().report;
         let stats = report.cache.expect("cache stats recorded");
         assert_eq!(
             stats.hits,
@@ -613,19 +625,49 @@ fn config_change_invalidates_only_that_point() {
 
 #[test]
 fn observed_points_bypass_the_cache() {
-    with_cache("observed", |store| {
-        use csb_core::experiments::runner::{run_values_observed, ObsConfig};
+    with_cache("observed", |ctx, store| {
         let specs = small_specs();
-        let obs = ObsConfig {
-            trace: false,
-            metrics: true,
+        let ctx = RunCtx {
+            obs: ObsConfig {
+                trace: false,
+                metrics: true,
+            },
+            ..ctx.clone()
         };
-        let (_, artifacts, report) = run_values_observed(&specs, 1, obs).unwrap();
+        let out = run_sweep(&specs, &ctx).unwrap();
         assert!(
-            report.cache.is_none(),
+            out.report.cache.is_none(),
             "artifact-capturing sweeps must not touch the cache"
         );
         assert_eq!(store.stats(), cache::CacheStats::default());
-        assert!(artifacts.iter().all(|a| a.artifacts.metrics.is_some()));
+        assert!(out.artifacts.iter().all(|a| a.artifacts.metrics.is_some()));
+    });
+}
+
+#[test]
+fn seeded_sweep_cache_contract() {
+    // The same contract on a seeded sweep whose points carry histograms:
+    // cold is all misses, warm is all hits with the identical `--json`
+    // dump, and one corrupted entry costs exactly one invalidation.
+    with_cache("faults", |ctx, store| {
+        let ctx = on(ctx, 2);
+        let json = |out: &csb_core::experiments::runner::SweepOutput<faults::FaultSweep>| {
+            serde_json::to_string_pretty(&out.result).unwrap()
+        };
+        let cold = faults::run(&ctx).unwrap();
+        let stats = cold.report.cache.expect("cache stats recorded");
+        assert_eq!((stats.hits, stats.misses), (0, cold.report.points as u64));
+
+        let warm = faults::run(&ctx).unwrap();
+        let stats = warm.report.cache.expect("cache stats recorded");
+        assert_eq!((stats.hits, stats.misses), (warm.report.points as u64, 0));
+        assert_eq!(stats.invalidations, 0);
+        assert_eq!(json(&warm), json(&cold));
+
+        corrupt_one_entry(store);
+        let healed = faults::run(&ctx).unwrap();
+        let stats = healed.report.cache.expect("cache stats recorded");
+        assert_eq!((stats.invalidations, stats.misses), (1, 1));
+        assert_eq!(json(&healed), json(&cold));
     });
 }
